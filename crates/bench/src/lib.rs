@@ -940,7 +940,7 @@ fn resolve_compare_dir(
     }
 }
 
-/// Tie-break-seed perturbations the what-if phase replays each intervened
+/// Schedule-seed perturbations the what-if phase replays each intervened
 /// configuration under. The event scheduler's contract says the result
 /// must not change, so any spread across these marks the measurement (not
 /// the simulation) as fragile.

@@ -1,65 +1,125 @@
-//! Differential proof for the event-driven scheduler: the same workloads
-//! produce byte-identical observability artifacts under both backends.
+//! Order-independence oracle for the event-driven scheduler: the same
+//! workloads produce byte-identical observability artifacts whatever order
+//! the ranks run in.
 //!
-//! The event scheduler replaces one OS thread per rank with cooperatively
-//! scheduled fibers, but simulated time, message matching, and every
-//! recorded artifact are supposed to be functions of the *simulation*
-//! alone, not of who runs it. These tests run the fig14 / fig15 /
-//! ext_overlap workload shapes under `SchedBackend::Threads` and
-//! `SchedBackend::Events` and assert the chrome trace export, the
-//! communication matrix, and the wait-state diagnosis JSON agree byte for
-//! byte — the refactor's correctness contract (ISSUE 9).
+//! Simulated time, message matching, and every recorded artifact are
+//! supposed to be functions of the *simulation* alone, not of the order in
+//! which the scheduler happens to resume ranks or of how it switches
+//! between them. These tests run the fig14 / fig15 / ext_overlap workload
+//! shapes in the canonical order, under [`SEEDS`] (each makes the
+//! scheduler resume a seeded-random ready rank at every decision) and on
+//! the portable `TaskBackend::Handoff`, and assert the makespan, the chrome
+//! trace export, the communication matrix, and the wait-state diagnosis
+//! JSON agree byte for byte. A mismatch names the seed that replays it via
+//! `ClusterConfig::with_schedule_seed`.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use ncd_bench::time_phase_traced;
 use ncd_core::{Comm, MpiConfig, WPeer};
 use ncd_datatype::Datatype;
 use ncd_petsc::{DistributedArray, ScatterBackend, StencilKind};
 use ncd_simnet::{
-    chrome_trace_json, comm_matrix_json, diagnose, diagnosis_json, ClusterCommMap, ClusterConfig,
-    SchedBackend, SimTime, TraceEvent,
+    chrome_trace_json, comm_matrix_json, diagnose, diagnosis_json, Cluster, ClusterCommMap,
+    ClusterConfig, SimTime, Tag, TaskBackend, TraceEvent,
 };
 
-/// Run `body` under one backend and collapse the observable artifacts to
-/// comparable byte strings.
-fn artifacts<F>(
-    cfg: ClusterConfig,
-    backend: SchedBackend,
-    body: F,
-) -> (SimTime, String, String, String)
+/// The explored schedules.
+const SEEDS: [u64; 8] = [0, 1, 2, 3, 4, 5, 6, 7];
+
+/// Compare `run` under every configuration the oracle explores — the
+/// canonical order, each of [`SEEDS`], the handoff task backend — against
+/// the canonical result; panics naming the first configuration that
+/// differs.
+fn assert_order_independent<T, F>(name: &str, cfg: ClusterConfig, run: F) -> T
+where
+    T: PartialEq,
+    F: Fn(ClusterConfig) -> T,
+{
+    let reference = run(cfg.clone());
+    for seed in SEEDS {
+        assert!(
+            run(cfg.clone().with_schedule_seed(seed)) == reference,
+            "{name}: schedule seed {seed} changed the result \
+             (replay with ClusterConfig::with_schedule_seed({seed}))"
+        );
+    }
+    let handoff = run(cfg.with_task_backend(TaskBackend::Handoff));
+    assert!(
+        handoff == reference,
+        "{name}: the handoff task backend changed the result"
+    );
+    reference
+}
+
+/// Run `body` once and collapse the observable artifacts to comparable
+/// byte strings.
+fn artifacts<F>(cfg: ClusterConfig, body: F) -> (SimTime, String, String, String)
 where
     F: Fn(&mut Comm, usize) + Send + Sync,
 {
     let (t, _, _, map, _, traces): (_, _, _, ClusterCommMap, _, Vec<Vec<TraceEvent>>) =
-        time_phase_traced(cfg.with_backend(backend), MpiConfig::optimized(), 2, body);
+        time_phase_traced(cfg, MpiConfig::optimized(), 2, body);
     let trace = chrome_trace_json(&traces);
     let matrix = comm_matrix_json(&map);
     let diag = diagnosis_json(&diagnose(&traces));
     (t, trace, matrix, diag)
 }
 
-fn assert_backends_agree<F>(name: &str, cfg: ClusterConfig, body: F)
+fn assert_schedules_agree<F>(name: &str, cfg: ClusterConfig, body: F)
 where
     F: Fn(&mut Comm, usize) + Send + Sync + Clone,
 {
-    let (te, trace_e, matrix_e, diag_e) =
-        artifacts(cfg.clone(), SchedBackend::Events, body.clone());
-    let (tt, trace_t, matrix_t, diag_t) = artifacts(cfg, SchedBackend::Threads, body);
-    assert!(te > SimTime::ZERO, "{name}: workload did no simulated work");
+    let (t, trace, _, _) = assert_order_independent(name, cfg, |cfg| artifacts(cfg, body.clone()));
+    assert!(t > SimTime::ZERO, "{name}: workload did no simulated work");
     assert!(
-        trace_e.matches("\"ph\"").count() > 10,
+        trace.matches("\"ph\"").count() > 10,
         "{name}: trace export is vacuously small"
     );
-    assert_eq!(te, tt, "{name}: makespan differs across backends");
-    assert_eq!(trace_e, trace_t, "{name}: chrome trace differs");
-    assert_eq!(matrix_e, matrix_t, "{name}: comm matrix differs");
-    assert_eq!(diag_e, diag_t, "{name}: diagnosis differs");
+}
+
+/// The oracle can fail: rank 0 reports whichever of two wildcard
+/// receives matched first, a result that depends on whether rank 1 or
+/// rank 2 ran first. Some seed must expose it, and the failure must name
+/// that seed so the schedule can be replayed.
+#[test]
+fn oracle_catches_an_injected_order_dependence() {
+    let first_source = |cfg: ClusterConfig| {
+        Cluster::new(cfg).run(|r| {
+            if r.rank() == 0 {
+                let (_, first) = r.recv_bytes(None, Tag(0));
+                let _ = r.recv_bytes(None, Tag(0));
+                first
+            } else {
+                r.send_bytes(0, Tag(0), vec![r.rank() as u8]);
+                r.rank()
+            }
+        })[0]
+    };
+    let failure = catch_unwind(AssertUnwindSafe(|| {
+        assert_order_independent("wildcard", ClusterConfig::uniform(3), first_source)
+    }))
+    .expect_err("no seed exposed the injected order dependence");
+    let msg = failure
+        .downcast_ref::<String>()
+        .expect("oracle failures carry a message");
+    let seed = SEEDS
+        .into_iter()
+        .find(|s| msg.contains(&format!("schedule seed {s} changed")))
+        .unwrap_or_else(|| panic!("failure does not name a seed: {msg}"));
+    assert_ne!(
+        first_source(ClusterConfig::uniform(3).with_schedule_seed(seed)),
+        first_source(ClusterConfig::uniform(3)),
+        "seed {seed} must replay the reordering it reported"
+    );
+    println!("schedule seed {seed} exposed the injected order dependence");
 }
 
 /// fig14's workload: allgatherv where rank 0 contributes a 32 KB outlier
 /// and everyone else a single double.
 #[test]
-fn fig14_allgatherv_is_backend_invariant() {
-    assert_backends_agree("fig14", ClusterConfig::uniform(16), |comm: &mut Comm, _| {
+fn fig14_allgatherv_is_order_independent() {
+    assert_schedules_agree("fig14", ClusterConfig::uniform(16), |comm: &mut Comm, _| {
         let mut counts = vec![8usize; comm.size()];
         counts[0] = 4096 * 8;
         let me = comm.rank();
@@ -72,8 +132,8 @@ fn fig14_allgatherv_is_backend_invariant() {
 /// fig15's workload: nearest-neighbour alltoallw ring exchange on the
 /// heterogeneous paper testbed (the skew-sensitive case).
 #[test]
-fn fig15_alltoallw_is_backend_invariant() {
-    assert_backends_agree(
+fn fig15_alltoallw_is_order_independent() {
+    assert_schedules_agree(
         "fig15",
         ClusterConfig::paper_testbed(8),
         |comm: &mut Comm, _| {
@@ -100,8 +160,8 @@ fn fig15_alltoallw_is_backend_invariant() {
 /// / end) on a 2-D star-stencil DA — exercises petsc::scatter's
 /// nonblocking path and compute interleaving.
 #[test]
-fn ext_overlap_scatter_is_backend_invariant() {
-    assert_backends_agree(
+fn ext_overlap_scatter_is_order_independent() {
+    assert_schedules_agree(
         "ext_overlap",
         ClusterConfig::paper_testbed(4),
         |comm: &mut Comm, _| {

@@ -9,7 +9,7 @@
 //!   a large share of the makespan);
 //! * flipping ring -> recursive doubling must reproduce the known win;
 //! * the irrelevant control intervention must measure ~0;
-//! * every replay must be tie-break-seed invariant (spread 0), and the
+//! * every replay must be schedule-seed invariant (spread 0), and the
 //!   serialized profile must match the committed golden byte-for-byte.
 
 use ncd_bench::{amr_diag_loop, amr_diag_workload, AMR_DIAG_OUTLIER, WHATIF_SEEDS};

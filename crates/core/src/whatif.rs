@@ -14,11 +14,11 @@
 //!    ([`crate::MpiConfig::allgatherv_pin`]) — plus one deliberately
 //!    irrelevant control experiment that must measure ~0.
 //! 2. **Replay** ([`causal_profile`]): re-run the workload unchanged and
-//!    once per experiment on the event backend, and report each
-//!    intervention's measured makespan delta. Confidence comes from
-//!    tie-break-seed perturbation: the scheduler's equal-time tie order
-//!    must not change the result, so any spread across perturbed seeds
-//!    marks the measurement (not the simulation) as fragile.
+//!    once per experiment, and report each intervention's measured
+//!    makespan delta. Confidence comes from schedule-seed perturbation:
+//!    the order in which the scheduler resumes ready ranks must not
+//!    change the result, so any spread across perturbed seeds marks the
+//!    measurement (not the simulation) as fragile.
 //! 3. **Join back** ([`CausalProfile::apply_verified_gains`]): each
 //!    finding the plan targeted gains a measured `verified_gain`,
 //!    upgrading "probably the bottleneck" to "removing it saves N ns".
@@ -31,8 +31,7 @@ use std::fmt::Write as _;
 
 use ncd_simnet::export::json_escape;
 use ncd_simnet::{
-    Cluster, ClusterConfig, CostKnobs, Diagnosis, KnobDim, SchedBackend, WaitPattern,
-    SCHEMA_VERSION,
+    Cluster, ClusterConfig, CostKnobs, Diagnosis, KnobDim, WaitPattern, SCHEMA_VERSION,
 };
 
 use crate::coll::{AllgathervAlgorithm, AlltoallwSchedule};
@@ -300,7 +299,7 @@ pub struct Outcome {
     pub gain_ns: i64,
     /// Gain as a percentage of the baseline makespan.
     pub gain_pct: f64,
-    /// Max − min makespan across the tie-break-seed perturbations (0 =
+    /// Max − min makespan across the schedule-seed perturbations (0 =
     /// perfectly seed-invariant, as the scheduler contract requires).
     pub spread_ns: u64,
     /// 1.0 when the perturbations agree exactly; decays toward 0 as the
@@ -350,11 +349,10 @@ impl CausalProfile {
 /// Deterministically replay `workload` under every experiment and
 /// measure the causal profile.
 ///
-/// Every run is forced onto the event backend (the scheduler whose
-/// determinism the measurement leans on). `perturb_seeds` re-runs each
-/// *intervened* configuration with the scheduler's equal-time tie order
-/// shuffled; the simulation contract says results must not change, so
-/// the observed spread is the confidence term of each outcome.
+/// `perturb_seeds` re-runs each *intervened* configuration with the
+/// scheduler's resume order shuffled by each seed; the simulation
+/// contract says results must not change, so the observed spread is the
+/// confidence term of each outcome.
 ///
 /// The workload runs once per configuration from a cold start; its
 /// makespan is the latest rank completion time.
@@ -369,7 +367,7 @@ where
     F: Fn(&mut Comm) + Send + Sync,
 {
     let run = |cl: ClusterConfig, mp: &MpiConfig| -> u64 {
-        let times = Cluster::new(cl.with_backend(SchedBackend::Events)).run(|rank| {
+        let times = Cluster::new(cl).run(|rank| {
             let mut comm = Comm::new(rank, mp.clone());
             workload(&mut comm);
             comm.rank_ref().now()
@@ -386,7 +384,7 @@ where
         let mut lo = makespan_ns;
         let mut hi = makespan_ns;
         for &seed in perturb_seeds {
-            let m = run(cl.clone().with_tie_break_seed(seed), &mp);
+            let m = run(cl.clone().with_schedule_seed(seed), &mp);
             lo = lo.min(m);
             hi = hi.max(m);
         }
@@ -421,7 +419,7 @@ fn e_cluster(base: &ClusterConfig) -> ClusterConfig {
     let mut cl = base.clone();
     // Experiments always start from a clean overlay; the base
     // configuration's own knobs (if any) are part of the baseline.
-    cl.sched_tie_seed = None;
+    cl.schedule_seed = None;
     cl
 }
 

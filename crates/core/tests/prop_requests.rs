@@ -9,15 +9,14 @@
 //!    the wire for arbitrary noncontiguous datatypes, and deliver them
 //!    bit-exactly through a typed receive.
 //! 3. **Scheduler independence**: simulated results are functions of the
-//!    simulation, not of who runs it — the FIFO property holds under both
-//!    the threaded and the event-driven backend, and randomized
+//!    simulation, not of the order ranks run in — the FIFO property holds
+//!    under the canonical and under seeded schedules, and randomized
 //!    alltoallw/scatterv schedules produce identical clocks and payloads
-//!    under the event scheduler no matter how its ready-queue ties are
-//!    broken (ISSUE 9).
+//!    whichever ready rank the scheduler resumes next.
 
 use ncd_core::{Comm, MpiConfig, Request, WPeer};
 use ncd_datatype::{pack_all, unpack_all, Datatype};
-use ncd_simnet::{Cluster, ClusterConfig, SchedBackend, SimTime, Tag};
+use ncd_simnet::{Cluster, ClusterConfig, SimTime, Tag};
 use proptest::prelude::*;
 
 proptest! {
@@ -30,15 +29,11 @@ proptest! {
         delays in proptest::collection::vec(0u64..2_000_000, 12),
         post_keys in proptest::collection::vec(0u32..1_000_000, 24),
         use_waitany in any::<bool>(),
-        use_threads in any::<bool>(),
+        schedule_seed in prop_oneof![Just(None), (0u64..1_000_000_000).prop_map(Some)],
     ) {
         let tags = [Tag(5), Tag(6)];
-        let backend = if use_threads {
-            SchedBackend::Threads
-        } else {
-            SchedBackend::Events
-        };
-        let cfg = ClusterConfig::uniform(n_senders + 1).with_backend(backend);
+        let mut cfg = ClusterConfig::uniform(n_senders + 1);
+        cfg.schedule_seed = schedule_seed;
         let out = Cluster::new(cfg).run(move |rank| {
             let mut comm = Comm::new(rank, MpiConfig::optimized());
             let me = comm.rank();
@@ -160,12 +155,12 @@ proptest! {
     }
 
     #[test]
-    fn event_scheduler_results_are_tie_break_invariant(
+    fn event_scheduler_results_are_schedule_invariant(
         nranks in 2usize..6,
         vols in proptest::collection::vec(0usize..48, 36),
         delays in proptest::collection::vec(0u64..1_000_000, 8),
         root in 0usize..6,
-        tie_seeds in proptest::collection::vec(1u64..1_000_000_000, 2),
+        schedule_seeds in proptest::collection::vec(1u64..1_000_000_000, 2),
     ) {
         let root = root % nranks;
         // A random sparse alltoallw schedule: vol[i][j] doubles from i to
@@ -173,12 +168,9 @@ proptest! {
         // a scatterv from a random root. Every rank derives the full
         // volume matrix, so the schedule is globally consistent.
         let vol = |i: usize, j: usize| vols[(i * nranks + j) % vols.len()];
-        let run = |tie_seed: Option<u64>| -> Vec<(SimTime, Vec<u8>, Vec<u8>)> {
-            let mut cfg = ClusterConfig::uniform(nranks)
-                .with_backend(SchedBackend::Events);
-            if let Some(s) = tie_seed {
-                cfg = cfg.with_tie_break_seed(s);
-            }
+        let run = |schedule_seed: Option<u64>| -> Vec<(SimTime, Vec<u8>, Vec<u8>)> {
+            let mut cfg = ClusterConfig::uniform(nranks);
+            cfg.schedule_seed = schedule_seed;
             let delays = delays.clone();
             Cluster::new(cfg).run(move |rank| {
                 let mut comm = Comm::new(rank, MpiConfig::optimized());
@@ -210,12 +202,12 @@ proptest! {
             })
         };
         let reference = run(None);
-        for &seed in &tie_seeds {
+        for &seed in &schedule_seeds {
             let perturbed = run(Some(seed));
             prop_assert_eq!(
                 &reference,
                 &perturbed,
-                "tie-break seed {} changed simulated results", seed
+                "schedule seed {} changed simulated results", seed
             );
         }
     }

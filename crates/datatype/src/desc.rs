@@ -352,8 +352,13 @@ impl Datatype {
         validate(&kind)?;
         let mut sink = Sink::new(MAX_SEGMENTS);
         flatten(&kind, 0, &mut sink)?;
-        let segments = sink.finish();
-        let size: usize = segments.iter().map(|s| s.len).sum();
+        let segments = sink.segs;
+        // Each segment's length fits in i64 (the sink checks), so the
+        // casts below are exact.
+        let size = segments
+            .iter()
+            .try_fold(0i64, |acc, s| acc.checked_add(s.len as i64))
+            .ok_or(overflow("size"))? as usize;
         let (lb, extent) = match &kind {
             Kind::Resized { lb, extent, .. } => (*lb, *extent),
             _ => {
@@ -364,7 +369,7 @@ impl Datatype {
                 // child's own (possibly resized) spacing at the tail; using
                 // the touched-byte bound is the MPI "true extent", which is
                 // what all workloads in this workspace rely on.
-                (lb, ub - lb)
+                (lb, ub.checked_sub(lb).ok_or(overflow("extent"))?)
             }
         };
         Ok(Datatype(Arc::new(Inner {
@@ -404,7 +409,10 @@ fn validate(kind: &Kind) -> Result<()> {
                 ));
             }
             for d in 0..sizes.len() {
-                if starts[d] + subsizes[d] > sizes[d] {
+                if starts[d]
+                    .checked_add(subsizes[d])
+                    .is_none_or(|end| end > sizes[d])
+                {
                     return fail(format!(
                         "subarray dim {d}: start {} + subsize {} exceeds size {}",
                         starts[d], subsizes[d], sizes[d]
@@ -423,8 +431,26 @@ fn validate(kind: &Kind) -> Result<()> {
     }
 }
 
+fn overflow(what: &'static str) -> TypeError {
+    TypeError::Overflow { what }
+}
+
+/// Checked byte-displacement arithmetic.
+fn add(a: i64, b: i64) -> Result<i64> {
+    a.checked_add(b).ok_or(overflow("displacement"))
+}
+
+fn mul(a: i64, b: i64) -> Result<i64> {
+    a.checked_mul(b).ok_or(overflow("displacement"))
+}
+
+fn to_i64(n: usize) -> Result<i64> {
+    i64::try_from(n).map_err(|_| overflow("displacement"))
+}
+
 /// Coalescing segment sink: adjacent-in-memory, consecutive-in-pack-order
 /// pieces are merged, exactly like an MPI implementation's flattened iovec.
+/// Every stored segment's length and end fit in `i64`.
 struct Sink {
     segs: Vec<Segment>,
     limit: usize,
@@ -438,44 +464,99 @@ impl Sink {
         }
     }
 
+    fn too_many(&self) -> TypeError {
+        TypeError::TooManySegments {
+            segments: self.limit + 1,
+            limit: self.limit,
+        }
+    }
+
     fn push(&mut self, offset: i64, len: usize) -> Result<()> {
         if len == 0 {
             return Ok(());
         }
+        let len_i = i64::try_from(len).map_err(|_| overflow("size"))?;
+        add(offset, len_i)?;
         if let Some(last) = self.segs.last_mut() {
             if last.end() == offset {
-                last.len += len;
+                last.len = last
+                    .len
+                    .checked_add(len)
+                    .filter(|&l| i64::try_from(l).is_ok())
+                    .ok_or(overflow("size"))?;
                 return Ok(());
             }
         }
         if self.segs.len() >= self.limit {
-            return Err(TypeError::TooManySegments {
-                segments: self.segs.len() + 1,
-                limit: self.limit,
-            });
+            return Err(self.too_many());
         }
         self.segs.push(Segment { offset, len });
         Ok(())
     }
-
-    fn finish(self) -> Vec<Segment> {
-        self.segs
-    }
 }
 
-fn flatten_child_run(child: &Datatype, base: i64, n: usize, sink: &mut Sink) -> Result<()> {
+/// Emit `unit` (segments relative to its start) displaced by `base`.
+fn emit(unit: &[Segment], base: i64, sink: &mut Sink) -> Result<()> {
+    for s in unit {
+        sink.push(add(base, s.offset)?, s.len)?;
+    }
+    Ok(())
+}
+
+/// Emit `n` copies of the coalesced `unit`, copy `i` displaced by
+/// `base + i * stride`.
+///
+/// A dense unit — one segment exactly `stride` long — tiles memory, so
+/// its copies are one segment, emitted in O(1). Any other unit adds at
+/// least one segment per copy after the first: the segments of a
+/// coalesced unit never abut each other, and a lone segment whose length
+/// is not the stride never abuts its next copy. So a run that cannot fit
+/// under the sink's limit is refused before it is walked.
+fn replicate(unit: &[Segment], stride: i64, base: i64, n: usize, sink: &mut Sink) -> Result<()> {
+    if n == 0 || unit.is_empty() {
+        return Ok(());
+    }
+    if let [seg] = unit {
+        if seg.len as i64 == stride {
+            let len = seg.len.checked_mul(n).ok_or(overflow("size"))?;
+            return sink.push(add(base, seg.offset)?, len);
+        }
+    }
+    if sink.segs.len().saturating_add(n - 1) > sink.limit {
+        return Err(sink.too_many());
+    }
+    let mut copy = base;
     for i in 0..n {
-        flatten_committed(child, base + i as i64 * child.extent(), sink)?;
+        if i > 0 {
+            copy = add(copy, stride)?;
+        }
+        emit(unit, copy, sink)?;
     }
     Ok(())
 }
 
-/// Re-emit an already committed child's segments at a displacement.
-fn flatten_committed(child: &Datatype, base: i64, sink: &mut Sink) -> Result<()> {
-    for s in child.segments() {
-        sink.push(base + s.offset, s.len)?;
+/// `n` consecutive copies of a committed child starting at `base`.
+fn flatten_child_run(child: &Datatype, base: i64, n: usize, sink: &mut Sink) -> Result<()> {
+    replicate(child.segments(), child.extent(), base, n, sink)
+}
+
+/// `count` blocks of `blocklen` children, block starts `stride` bytes
+/// apart: one block is flattened once, then replicated (so abutting
+/// blocks of a dense child coalesce like a dense child run).
+fn flatten_blocks(
+    child: &Datatype,
+    blocklen: usize,
+    count: usize,
+    stride: i64,
+    base: i64,
+    sink: &mut Sink,
+) -> Result<()> {
+    if count == 0 {
+        return Ok(());
     }
-    Ok(())
+    let mut block = Sink::new(sink.limit);
+    flatten_child_run(child, 0, blocklen, &mut block)?;
+    replicate(&block.segs, stride, base, count, sink)
 }
 
 fn flatten(kind: &Kind, base: i64, sink: &mut Sink) -> Result<()> {
@@ -488,33 +569,30 @@ fn flatten(kind: &Kind, base: i64, sink: &mut Sink) -> Result<()> {
             stride,
             child,
         } => {
-            for i in 0..*count {
-                let block_base = base + *stride * i as i64 * child.extent();
-                flatten_child_run(child, block_base, *blocklen, sink)?;
-            }
-            Ok(())
+            // The stride only matters from the second block on.
+            let stride = if *count > 1 {
+                mul(*stride, child.extent())?
+            } else {
+                0
+            };
+            flatten_blocks(child, *blocklen, *count, stride, base, sink)
         }
         Kind::Hvector {
             count,
             blocklen,
             stride_bytes,
             child,
-        } => {
-            for i in 0..*count {
-                let block_base = base + *stride_bytes * i as i64;
-                flatten_child_run(child, block_base, *blocklen, sink)?;
-            }
-            Ok(())
-        }
+        } => flatten_blocks(child, *blocklen, *count, *stride_bytes, base, sink),
         Kind::Indexed { blocks, child } => {
             for &(disp, blocklen) in blocks {
-                flatten_child_run(child, base + disp * child.extent(), blocklen, sink)?;
+                let at = add(base, mul(disp, child.extent())?)?;
+                flatten_child_run(child, at, blocklen, sink)?;
             }
             Ok(())
         }
         Kind::Hindexed { blocks, child } => {
             for &(disp, blocklen) in blocks {
-                flatten_child_run(child, base + disp, blocklen, sink)?;
+                flatten_child_run(child, add(base, disp)?, blocklen, sink)?;
             }
             Ok(())
         }
@@ -524,13 +602,14 @@ fn flatten(kind: &Kind, base: i64, sink: &mut Sink) -> Result<()> {
             child,
         } => {
             for &disp in disps {
-                flatten_child_run(child, base + disp * child.extent(), *blocklen, sink)?;
+                let at = add(base, mul(disp, child.extent())?)?;
+                flatten_child_run(child, at, *blocklen, sink)?;
             }
             Ok(())
         }
         Kind::Struct { fields } => {
             for f in fields {
-                flatten_child_run(&f.dtype, base + f.disp, f.count, sink)?;
+                flatten_child_run(&f.dtype, add(base, f.disp)?, f.count, sink)?;
             }
             Ok(())
         }
@@ -540,42 +619,42 @@ fn flatten(kind: &Kind, base: i64, sink: &mut Sink) -> Result<()> {
             starts,
             child,
         } => {
-            // Row-major strides in child extents.
-            let ndims = sizes.len();
-            let mut strides = vec![1i64; ndims];
-            for d in (0..ndims.saturating_sub(1)).rev() {
-                strides[d] = strides[d + 1] * sizes[d + 1] as i64;
-            }
-            subarray_walk(sizes, subsizes, starts, &strides, child, 0, base, sink)
+            let unit = subarray_walk(sizes, subsizes, starts, child, sink.limit)?;
+            emit(&unit, base, sink)
         }
-        Kind::Resized { child, .. } => flatten_committed(child, base, sink),
+        Kind::Resized { child, .. } => emit(child.segments(), base, sink),
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Flatten a row-major (C order) subarray relative to the array start:
+/// the innermost run of children once, then each dimension's unit
+/// replicated along the next outer dimension.
 fn subarray_walk(
     sizes: &[usize],
     subsizes: &[usize],
     starts: &[usize],
-    strides: &[i64],
     child: &Datatype,
-    dim: i64,
-    base: i64,
-    sink: &mut Sink,
-) -> Result<()> {
-    let d = dim as usize;
+    limit: usize,
+) -> Result<Vec<Segment>> {
+    let last = sizes.len() - 1;
     let ext = child.extent();
-    if d == sizes.len() - 1 {
-        // Innermost dimension: a contiguous run of children.
-        let run_base = base + starts[d] as i64 * ext;
-        flatten_child_run(child, run_base, subsizes[d], sink)
-    } else {
-        for i in 0..subsizes[d] {
-            let next = base + (starts[d] + i) as i64 * strides[d] * ext;
-            subarray_walk(sizes, subsizes, starts, strides, child, dim + 1, next, sink)?;
-        }
-        Ok(())
+    let mut unit = Sink::new(limit);
+    flatten_child_run(
+        child,
+        mul(to_i64(starts[last])?, ext)?,
+        subsizes[last],
+        &mut unit,
+    )?;
+    // Bytes between consecutive indices of dimension `d`.
+    let mut stride = ext;
+    for d in (0..last).rev() {
+        stride = mul(stride, to_i64(sizes[d + 1])?)?;
+        let mut outer = Sink::new(limit);
+        let at = mul(to_i64(starts[d])?, stride)?;
+        replicate(&unit.segs, stride, at, subsizes[d], &mut outer)?;
+        unit = outer;
     }
+    Ok(unit.segs)
 }
 
 #[cfg(test)]
@@ -807,6 +886,55 @@ mod tests {
                 .avg_segment_len(),
             0
         );
+    }
+
+    #[test]
+    fn overflowing_vector_stride_is_an_error() {
+        // 4 blocks at stride (i64::MAX / 2) * 8 bytes: the displacement
+        // does not fit in i64 and must not wrap into a small extent.
+        let err = Datatype::vector(4, 1, i64::MAX / 2, &Datatype::double()).unwrap_err();
+        assert!(matches!(err, TypeError::Overflow { .. }), "{err}");
+        let err = Datatype::contiguous(usize::MAX, &Datatype::double()).unwrap_err();
+        assert!(matches!(err, TypeError::Overflow { what: "size" }), "{err}");
+        let err = Datatype::subarray(&[usize::MAX], &[1], &[usize::MAX], &Datatype::double());
+        assert!(err.is_err(), "start + subsize overflows");
+    }
+
+    #[test]
+    fn dense_runs_commit_to_one_segment_without_walking() {
+        let d = Datatype::double();
+        let t = Datatype::contiguous(1 << 40, &d).unwrap();
+        assert_eq!(
+            t.segments(),
+            &[Segment {
+                offset: 0,
+                len: 8 << 40
+            }]
+        );
+        assert_eq!((t.size(), t.extent()), (8 << 40, 8 << 40));
+        // Abutting vector blocks of a dense child coalesce the same way.
+        let v = Datatype::vector(1 << 40, 3, 3, &d).unwrap();
+        assert_eq!(
+            v.segments(),
+            &[Segment {
+                offset: 0,
+                len: 24 << 40
+            }]
+        );
+        let h = Datatype::hvector(1 << 40, 2, 16, &d).unwrap();
+        assert_eq!(
+            h.segments(),
+            &[Segment {
+                offset: 0,
+                len: 16 << 40
+            }]
+        );
+        // A run of a non-dense child that cannot fit is refused up front.
+        let col = Datatype::vector(2, 1, 2, &d).unwrap();
+        assert!(matches!(
+            Datatype::contiguous(1 << 40, &col),
+            Err(TypeError::TooManySegments { .. })
+        ));
     }
 
     #[test]

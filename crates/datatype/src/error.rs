@@ -19,6 +19,9 @@ pub enum TypeError {
     /// The byte stream handed to an unpacker was longer than the receive
     /// type can absorb.
     StreamOverrun { extra: usize },
+    /// A type's `what` — its size, extent or a byte displacement — does
+    /// not fit in 64-bit arithmetic.
+    Overflow { what: &'static str },
 }
 
 impl fmt::Display for TypeError {
@@ -41,6 +44,7 @@ impl fmt::Display for TypeError {
             TypeError::StreamOverrun { extra } => {
                 write!(f, "unpack stream has {extra} bytes beyond the receive type")
             }
+            TypeError::Overflow { what } => write!(f, "datatype {what} overflows 64 bits"),
         }
     }
 }

@@ -7,13 +7,11 @@
 //! and matched in FIFO order per (source, tag), exactly as an MPI
 //! implementation's unexpected-message queue behaves.
 //!
-//! Blocking is a property of the runtime, not of this module: under the
-//! threaded backend [`Mailbox::recv_match`] blocks the rank's OS thread on
-//! the channel, while the event scheduler only ever uses the non-blocking
-//! half ([`Mailbox::try_match`] / [`Mailbox::probe`] / [`Mailbox::peek`])
-//! and parks the rank's task on a miss (see [`crate::sched`]). Both drain
-//! the channel into the same unexpected queue, so matching order — and
-//! therefore every simulated result — is identical.
+//! Every operation here is non-blocking ([`Mailbox::try_match`] /
+//! [`Mailbox::probe`] / [`Mailbox::peek`]): blocking is a property of the
+//! runtime, which parks the rank's task with the event scheduler on a miss
+//! and retries once a matching envelope has been deposited (see
+//! [`crate::sched`]).
 
 use std::collections::VecDeque;
 
@@ -66,32 +64,6 @@ impl Mailbox {
         Mailbox {
             rx,
             unexpected: VecDeque::new(),
-        }
-    }
-
-    /// Blockingly receive the first message matching `(src, tag)`.
-    ///
-    /// Checks the unexpected queue first (FIFO), then drains the channel,
-    /// parking non-matching arrivals, until a match appears. Panics if all
-    /// senders disconnected without a match — in a correctly paired program
-    /// that indicates a peer exited early (e.g. panicked).
-    pub fn recv_match(&mut self, src: Option<usize>, tag: Tag, context: u32) -> NetMsg {
-        if let Some(pos) = self
-            .unexpected
-            .iter()
-            .position(|m| m.matches(src, tag, context))
-        {
-            return self.unexpected.remove(pos).expect("position just found");
-        }
-        loop {
-            let msg = self
-                .rx
-                .recv()
-                .expect("peer rank disconnected while a receive was pending");
-            if msg.matches(src, tag, context) {
-                return msg;
-            }
-            self.unexpected.push_back(msg);
         }
     }
 
@@ -174,14 +146,13 @@ mod tests {
         tx.send(msg(1, 5, b'c')).expect("mailbox channel open");
 
         // Ask for tag 7 first: the two tag-5 messages get parked.
-        let m = mb.recv_match(Some(2), Tag(7), 0);
+        let m = mb.try_match(Some(2), Tag(7), 0).unwrap();
         assert_eq!(m.data, vec![b'b']);
-        // Only 'a' was drained past; 'c' still sits in the channel.
-        assert_eq!(mb.unexpected_len(), 1);
+        assert_eq!(mb.unexpected_len(), 2);
 
         // Tag-5 messages from rank 1 must come back in FIFO order.
-        assert_eq!(mb.recv_match(Some(1), Tag(5), 0).data, vec![b'a']);
-        assert_eq!(mb.recv_match(Some(1), Tag(5), 0).data, vec![b'c']);
+        assert_eq!(mb.try_match(Some(1), Tag(5), 0).unwrap().data, vec![b'a']);
+        assert_eq!(mb.try_match(Some(1), Tag(5), 0).unwrap().data, vec![b'c']);
         assert_eq!(mb.unexpected_len(), 0);
     }
 
@@ -193,7 +164,7 @@ mod tests {
         tx.send(msg(5, 1, b'y')).expect("mailbox channel open");
         // Park both.
         assert!(mb.probe(None, Tag(1), 0));
-        let m = mb.recv_match(None, Tag(1), 0);
+        let m = mb.try_match(None, Tag(1), 0).unwrap();
         assert_eq!((m.src, m.data[0]), (4, b'x'));
     }
 
@@ -205,7 +176,7 @@ mod tests {
         tx.send(msg(0, 3, b'z')).expect("mailbox channel open");
         assert!(mb.probe(Some(0), Tag(3), 0));
         assert!(mb.probe(Some(0), Tag(3), 0)); // still there
-        assert_eq!(mb.recv_match(Some(0), Tag(3), 0).data, vec![b'z']);
+        assert_eq!(mb.try_match(Some(0), Tag(3), 0).unwrap().data, vec![b'z']);
         assert!(!mb.probe(Some(0), Tag(3), 0));
     }
 
@@ -234,16 +205,7 @@ mod tests {
         tx.send(m).expect("mailbox channel open");
         assert_eq!(mb.peek(Some(0), Tag(3), 0).unwrap().arrival, SimTime(777));
         assert!(mb.peek(Some(0), Tag(3), 0).is_some(), "still there");
-        assert_eq!(mb.recv_match(Some(0), Tag(3), 0).data, vec![b'z']);
+        assert_eq!(mb.try_match(Some(0), Tag(3), 0).unwrap().data, vec![b'z']);
         assert!(mb.peek(Some(0), Tag(3), 0).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "disconnected")]
-    fn disconnected_sender_panics() {
-        let (tx, rx) = unbounded::<NetMsg>();
-        drop(tx);
-        let mut mb = Mailbox::new(rx);
-        mb.recv_match(None, ANY_TAG, 0);
     }
 }

@@ -4,20 +4,14 @@
 //! simulated clock, channels to every peer, and the cost model — and runs
 //! all of them to completion. All communication is real (bytes through
 //! channels); all timing is simulated (see the crate docs for the
-//! rationale). Two execution backends implement the same contract:
-//!
-//! - [`SchedBackend::Events`] (the default): every rank is a resumable
-//!   task driven by the deterministic event scheduler in [`crate::sched`] —
-//!   one OS thread total, fiber context switches instead of kernel ones,
-//!   park/unpark on the simulated clock. This is what lets N=1024 sweeps
-//!   run in CI smoke time.
-//! - [`SchedBackend::Threads`]: the original threads-as-ranks substrate
-//!   (one OS thread per rank, blocking channel receives), kept for
-//!   differential testing — both backends must produce bitwise-identical
-//!   traces, matrices, and timings.
+//! rationale). Every rank is a resumable task driven by the deterministic
+//! event scheduler in [`crate::sched`] — one OS thread total, fiber context
+//! switches instead of kernel ones, park/unpark on the simulated clock.
+//! [`ClusterConfig::with_schedule_seed`] makes that scheduler resume ready
+//! ranks in a seeded random order instead, which is how tests prove that
+//! simulated results do not depend on execution order.
 
 use std::sync::{Arc, Mutex};
-use std::thread;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use rand::rngs::StdRng;
@@ -34,35 +28,6 @@ use crate::sched::{self, EventCtl, EventHandle, Task, TaskBackend, TaskShared};
 use crate::stats::{CostKind, Stats};
 use crate::time::{CostModel, SimTime};
 use crate::trace::{EventKind, TraceEvent};
-
-/// Which execution substrate carries the ranks of a cluster.
-///
-/// Simulated results (clocks, traces, matrices, goldens) are identical
-/// across backends — that invariant is what the differential tests pin.
-/// The event backend is one OS thread and scales to thousands of ranks;
-/// the threaded backend burns one OS thread per rank and exists for
-/// differential runs and as a reference semantics.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SchedBackend {
-    /// Cooperatively scheduled resumable tasks over the simulated clock
-    /// (see [`crate::sched`]). The default.
-    Events,
-    /// One OS thread per rank (the original threads-as-ranks runtime).
-    Threads,
-}
-
-impl SchedBackend {
-    /// Backend requested by the `NCD_SCHED` environment variable
-    /// (`events` / `threads`), if any — how a differential run flips a
-    /// whole test suite without touching code.
-    pub fn from_env() -> Option<Self> {
-        match std::env::var("NCD_SCHED").as_deref() {
-            Ok("events") => Some(SchedBackend::Events),
-            Ok("threads") => Some(SchedBackend::Threads),
-            _ => None,
-        }
-    }
-}
 
 /// How per-rank CPU speeds are assigned, modelling node heterogeneity.
 ///
@@ -111,34 +76,32 @@ pub struct ClusterConfig {
     /// Capacity of each rank's always-on flight recorder (rounded up to a
     /// power of two; see [`crate::recorder`]).
     pub recorder_capacity: usize,
-    /// Execution substrate (overridable per-process via `NCD_SCHED`).
-    pub backend: SchedBackend,
-    /// Stack bytes per rank task under the event backend (lazily
-    /// committed; raise for deeply recursive rank programs).
+    /// Stack bytes per rank task (lazily committed; raise for deeply
+    /// recursive rank programs).
     pub stack_bytes: usize,
-    /// When set, the event scheduler breaks equal-simulated-time ties in
-    /// its ready queue pseudorandomly from this seed instead of by rank
-    /// id. Simulated results must not depend on it — the knob exists so
-    /// property tests can prove that.
-    pub sched_tie_seed: Option<u64>,
+    /// When set, the event scheduler resumes a ready rank picked
+    /// pseudorandomly from this seed instead of the canonical earliest
+    /// `(simulated time, rank id)` one. Simulated results must not depend
+    /// on it — the knob exists so tests can explore schedules and replay
+    /// any one that breaks by its seed.
+    pub schedule_seed: Option<u64>,
     /// Counterfactual cost overlay (see [`crate::knobs`]): per-rank /
     /// per-dimension scale factors applied to the cost model's charges.
     /// `None` (the default) charges the model unmodified with zero
     /// overhead; all-1.0 knobs are bitwise identical to `None`.
     pub knobs: Option<CostKnobs>,
-    /// Suspend/resume primitive for rank tasks under the event backend
-    /// (see [`TaskBackend`]). `None` resolves to the target default at
-    /// run time; constructors seed it from `NCD_SCHED_TASKS` so a whole
-    /// suite can be flipped onto the portable backend without code
-    /// changes.
+    /// Suspend/resume primitive for rank tasks (see [`TaskBackend`]).
+    /// `None` resolves to the target default at run time; constructors
+    /// seed it from `NCD_SCHED_TASKS` so a whole suite can be flipped onto
+    /// the portable backend without code changes.
     pub task_backend: Option<TaskBackend>,
 }
 
 /// Default flight-recorder window per rank.
 pub const DEFAULT_RECORDER_CAPACITY: usize = 256;
 
-/// Default per-rank task stack under the event backend (1 MiB, lazily
-/// committed by the OS so idle ranks cost address space, not memory).
+/// Default per-rank task stack (1 MiB, lazily committed by the OS so
+/// idle ranks cost address space, not memory).
 pub const DEFAULT_STACK_BYTES: usize = 1 << 20;
 
 impl ClusterConfig {
@@ -151,9 +114,8 @@ impl ClusterConfig {
             speeds: SpeedProfile::Uniform,
             seed: 0x5eed,
             recorder_capacity: DEFAULT_RECORDER_CAPACITY,
-            backend: SchedBackend::from_env().unwrap_or(SchedBackend::Events),
             stack_bytes: DEFAULT_STACK_BYTES,
-            sched_tie_seed: None,
+            schedule_seed: None,
             knobs: None,
             task_backend: TaskBackend::from_env(),
         }
@@ -174,9 +136,8 @@ impl ClusterConfig {
             },
             seed: 0x2007,
             recorder_capacity: DEFAULT_RECORDER_CAPACITY,
-            backend: SchedBackend::from_env().unwrap_or(SchedBackend::Events),
             stack_bytes: DEFAULT_STACK_BYTES,
-            sched_tie_seed: None,
+            schedule_seed: None,
             knobs: None,
             task_backend: TaskBackend::from_env(),
         }
@@ -197,23 +158,16 @@ impl ClusterConfig {
         self
     }
 
-    /// Pin the execution backend, ignoring `NCD_SCHED` (differential
-    /// tests run the same workload under both).
-    pub fn with_backend(mut self, backend: SchedBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Per-rank task stack size under the event backend.
+    /// Per-rank task stack size.
     pub fn with_stack_bytes(mut self, bytes: usize) -> Self {
         self.stack_bytes = bytes;
         self
     }
 
-    /// Seed the event scheduler's equal-time tie-breaking (see
-    /// [`ClusterConfig::sched_tie_seed`]).
-    pub fn with_tie_break_seed(mut self, seed: u64) -> Self {
-        self.sched_tie_seed = Some(seed);
+    /// Resume ready ranks in the order seeded by `seed` (see
+    /// [`ClusterConfig::schedule_seed`]).
+    pub fn with_schedule_seed(mut self, seed: u64) -> Self {
+        self.schedule_seed = Some(seed);
         self
     }
 
@@ -223,9 +177,9 @@ impl ClusterConfig {
         self
     }
 
-    /// Pin the task suspend/resume primitive of the event backend,
-    /// ignoring `NCD_SCHED_TASKS` (differential tests pit the asm
-    /// fiber switch against the portable baton this way).
+    /// Pin the task suspend/resume primitive, ignoring `NCD_SCHED_TASKS`
+    /// (differential tests pit the asm fiber switch against the portable
+    /// baton this way).
     pub fn with_task_backend(mut self, backend: TaskBackend) -> Self {
         self.task_backend = Some(backend);
         self
@@ -237,22 +191,16 @@ pub struct Cluster {
     cfg: ClusterConfig,
 }
 
-/// The per-run channel mesh: every rank's sender (shared), each rank's
-/// receiver, and each rank's flight recorder.
-type Wiring = (
-    Arc<Vec<Sender<NetMsg>>>,
-    Vec<Receiver<NetMsg>>,
-    Vec<Arc<RankRecorder>>,
-);
-
 impl Cluster {
     pub fn new(cfg: ClusterConfig) -> Self {
         assert!(cfg.n_ranks > 0, "cluster needs at least one rank");
         Cluster { cfg }
     }
 
-    /// Run `f` on every rank concurrently (SPMD style) and collect the
-    /// per-rank return values, indexed by rank.
+    /// Run `f` on every rank (SPMD style) and collect the per-rank return
+    /// values, indexed by rank. Every rank is a resumable task; one
+    /// scheduler thread drives them in simulated-time order (see
+    /// [`crate::sched`] for the event loop and park/unpark protocol).
     ///
     /// Panics in any rank propagate after every other rank has been run
     /// as far as it can go, with a flight-recorder dump triggered for
@@ -262,16 +210,6 @@ impl Cluster {
         R: Send,
         F: Fn(&mut Rank) -> R + Send + Sync,
     {
-        match self.cfg.backend {
-            SchedBackend::Events => self.run_events(f),
-            SchedBackend::Threads => self.run_threads(f),
-        }
-    }
-
-    /// Per-run channel mesh and flight recorders. Recorders are parked
-    /// in the process global immediately, so evidence survives even if
-    /// a rank panics before the run completes.
-    fn wire_up(&self) -> Wiring {
         let n = self.cfg.n_ranks;
         let mut txs: Vec<Sender<NetMsg>> = Vec::with_capacity(n);
         let mut rxs = Vec::with_capacity(n);
@@ -280,11 +218,56 @@ impl Cluster {
             txs.push(tx);
             rxs.push(rx);
         }
+        let txs = Arc::new(txs);
+        // Recorders are parked in the process global immediately, so
+        // evidence survives even if a rank panics before the run ends.
         let recorders: Vec<Arc<RankRecorder>> = (0..n)
             .map(|r| Arc::new(RankRecorder::new(r, self.cfg.recorder_capacity)))
             .collect();
         recorder::store_last_run(recorders.clone());
-        (Arc::new(txs), rxs, recorders)
+        let ctl = Arc::new(EventCtl::new(n));
+        let task_backend = self
+            .cfg
+            .task_backend
+            .unwrap_or_else(TaskBackend::default_for_target);
+        let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        let mut tasks: Vec<Task> = Vec::with_capacity(n);
+        for (rank_id, rx) in rxs.into_iter().enumerate() {
+            let shared = Arc::new(TaskShared::new(task_backend));
+            let handle = EventHandle::new(ctl.clone(), shared.clone(), rank_id);
+            let cfg = &self.cfg;
+            let f = &f;
+            let results = &results;
+            let txs = txs.clone();
+            let recorder = recorders[rank_id].clone();
+            let body = Box::new(move || {
+                let mut rank = Self::make_rank(cfg, rank_id, txs, rx, recorder, handle);
+                let r = f(&mut rank);
+                *results[rank_id].lock().unwrap_or_else(|e| e.into_inner()) = Some(r);
+            });
+            // SAFETY: the body borrows `f`, `results` and `self.cfg`;
+            // `sched::drive` runs or unwinds every task before
+            // returning, and the task vector is dropped before any of
+            // those borrows expire below.
+            tasks.push(unsafe { Task::spawn(shared, body, self.cfg.stack_bytes) });
+        }
+        let outcome = sched::drive(&ctl, &mut tasks, self.cfg.schedule_seed);
+        drop(tasks);
+        match outcome {
+            Ok(()) => results
+                .into_iter()
+                .map(|slot| {
+                    slot.into_inner()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .expect("finished rank left no result")
+                })
+                .collect(),
+            Err(p) => {
+                let dump = recorder::render_dump(&recorders);
+                recorder::trigger(&Anomaly::Panic { rank: p.rank }, &dump);
+                std::panic::resume_unwind(p.payload)
+            }
+        }
     }
 
     fn make_rank(
@@ -293,7 +276,7 @@ impl Cluster {
         txs: Arc<Vec<Sender<NetMsg>>>,
         rx: Receiver<NetMsg>,
         recorder: Arc<RankRecorder>,
-        sched: Option<EventHandle>,
+        sched: EventHandle,
     ) -> Rank {
         let n = cfg.n_ranks;
         Rank {
@@ -321,111 +304,9 @@ impl Cluster {
             knobs: cfg.knobs.as_ref().map(|k| k.resolve(rank_id)),
         }
     }
-
-    /// The event-driven backend: every rank is a resumable task, one
-    /// scheduler thread drives them in simulated-time order (see
-    /// [`crate::sched`] for the event loop and park/unpark protocol).
-    fn run_events<R, F>(&self, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(&mut Rank) -> R + Send + Sync,
-    {
-        let n = self.cfg.n_ranks;
-        let (txs, rxs, recorders) = self.wire_up();
-        let ctl = Arc::new(EventCtl::new(n));
-        let task_backend = self
-            .cfg
-            .task_backend
-            .unwrap_or_else(TaskBackend::default_for_target);
-        let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let mut tasks: Vec<Task> = Vec::with_capacity(n);
-        for (rank_id, rx) in rxs.into_iter().enumerate() {
-            let shared = Arc::new(TaskShared::new(task_backend));
-            let handle = EventHandle::new(ctl.clone(), shared.clone(), rank_id);
-            let cfg = &self.cfg;
-            let f = &f;
-            let results = &results;
-            let txs = txs.clone();
-            let recorder = recorders[rank_id].clone();
-            let body = Box::new(move || {
-                let mut rank = Self::make_rank(cfg, rank_id, txs, rx, recorder, Some(handle));
-                let r = f(&mut rank);
-                *results[rank_id].lock().unwrap_or_else(|e| e.into_inner()) = Some(r);
-            });
-            // SAFETY: the body borrows `f`, `results` and `self.cfg`;
-            // `sched::drive` runs or unwinds every task before
-            // returning, and the task vector is dropped before any of
-            // those borrows expire below.
-            tasks.push(unsafe { Task::spawn(shared, body, self.cfg.stack_bytes) });
-        }
-        let outcome = sched::drive(&ctl, &mut tasks, self.cfg.sched_tie_seed);
-        drop(tasks);
-        match outcome {
-            Ok(()) => results
-                .into_iter()
-                .map(|slot| {
-                    slot.into_inner()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .expect("finished rank left no result")
-                })
-                .collect(),
-            Err(p) => {
-                let dump = recorder::render_dump(&recorders);
-                recorder::trigger(&Anomaly::Panic { rank: p.rank }, &dump);
-                std::panic::resume_unwind(p.payload)
-            }
-        }
-    }
-
-    /// The original threads-as-ranks backend: one OS thread per rank,
-    /// joined in rank order. Panics propagate after all threads have
-    /// been joined.
-    fn run_threads<R, F>(&self, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(&mut Rank) -> R + Send + Sync,
-    {
-        let (txs, rxs, recorders) = self.wire_up();
-        let f = &f;
-        let cfg = &self.cfg;
-        let txs = &txs;
-        let recorders = &recorders;
-        let results: Vec<R> = thread::scope(|scope| {
-            let handles: Vec<_> = rxs
-                .into_iter()
-                .enumerate()
-                .map(|(rank_id, rx)| {
-                    scope.spawn(move || {
-                        let mut rank = Self::make_rank(
-                            cfg,
-                            rank_id,
-                            txs.clone(),
-                            rx,
-                            recorders[rank_id].clone(),
-                            None,
-                        );
-                        f(&mut rank)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .enumerate()
-                .map(|(rank_id, h)| match h.join() {
-                    Ok(r) => r,
-                    Err(e) => {
-                        let dump = recorder::render_dump(recorders);
-                        recorder::trigger(&Anomaly::Panic { rank: rank_id }, &dump);
-                        std::panic::resume_unwind(e)
-                    }
-                })
-                .collect()
-        });
-        results
-    }
 }
 
-/// Handle given to each rank's thread: identity, clock, network, stats.
+/// Handle given to each rank's task: identity, clock, network, stats.
 pub struct Rank {
     rank: usize,
     size: usize,
@@ -461,9 +342,8 @@ pub struct Rank {
     /// record per closed comm-map epoch. Off by default; enabling it also
     /// enables the comm map it derives from.
     history: RankHistory,
-    /// Park/unpark handle under the event backend (`None` under
-    /// threads-as-ranks, where blocking falls through to the channel).
-    sched: Option<EventHandle>,
+    /// This rank's side of the scheduler's park/unpark protocol.
+    sched: EventHandle,
     /// Counterfactual cost factors for this rank, resolved once from
     /// [`ClusterConfig::knobs`]. `None` = charge the model unmodified.
     knobs: Option<ResolvedKnobs>,
@@ -1071,15 +951,11 @@ impl Rank {
     }
 
     /// Mirror a just-made channel deposit to the event scheduler so a
-    /// parked destination is woken (no-op under threads, where the
-    /// channel itself wakes the blocked receiver; no-op for self-sends —
-    /// a running rank is not parked).
+    /// parked destination is woken (no-op for self-sends — a running rank
+    /// is not parked).
     fn notify_deposit(&self, dst: usize, tag: Tag, context: u32) {
-        if dst == self.rank {
-            return;
-        }
-        if let Some(h) = &self.sched {
-            h.notify_deposit(dst, self.rank, tag, context);
+        if dst != self.rank {
+            self.sched.notify_deposit(dst, self.rank, tag, context);
         }
     }
 
@@ -1110,23 +986,14 @@ impl Rank {
     /// a receive. Pair with [`Rank::complete_recv_msg`], which does the
     /// accounting; [`Rank::recv_bytes_ctx`] is exactly that composition.
     ///
-    /// Under the event backend "blocking" means parking this rank's task
-    /// with the scheduler until a matching deposit exists; under threads
-    /// it blocks the rank's OS thread on the channel. The matching result
-    /// is identical either way.
+    /// "Blocking" means parking this rank's task with the scheduler until
+    /// a matching deposit exists.
     pub fn fetch_msg_ctx(&mut self, src: Option<usize>, tag: Tag, context: u32) -> NetMsg {
-        match &self.sched {
-            None => self.mailbox.recv_match(src, tag, context),
-            Some(_) => loop {
-                if let Some(msg) = self.mailbox.try_match(src, tag, context) {
-                    return msg;
-                }
-                let at = self.now;
-                self.sched
-                    .as_ref()
-                    .expect("checked above")
-                    .park_blocked(src, tag, context, at);
-            },
+        loop {
+            if let Some(msg) = self.mailbox.try_match(src, tag, context) {
+                return msg;
+            }
+            self.sched.park_blocked(src, tag, context, self.now);
         }
     }
 
@@ -1134,10 +1001,10 @@ impl Rank {
     /// matching envelope if one has physically arrived (its simulated
     /// arrival time may still lie in the future), else `None`.
     ///
-    /// Under the event backend a miss yields to the scheduler once (a
-    /// polling park: woken by a matching deposit or when no other rank is
-    /// ready) and re-checks, so `while !test { compute }` progress loops
-    /// interleave with the peers they are waiting on.
+    /// A miss yields to the scheduler once (a polling park: woken by a
+    /// matching deposit or when no other rank is ready) and re-checks, so
+    /// `while !test { compute }` progress loops interleave with the peers
+    /// they are waiting on.
     pub fn try_fetch_msg_ctx(
         &mut self,
         src: Option<usize>,
@@ -1147,11 +1014,8 @@ impl Rank {
         if let Some(msg) = self.mailbox.try_match(src, tag, context) {
             return Some(msg);
         }
-        if let Some(h) = &self.sched {
-            h.park_polling(src, tag, context, self.now);
-            return self.mailbox.try_match(src, tag, context);
-        }
-        None
+        self.sched.park_polling(src, tag, context, self.now);
+        self.mailbox.try_match(src, tag, context)
     }
 
     /// The accounting half of a receive: charge the residual wait (zero
@@ -1211,8 +1075,8 @@ impl Rank {
 
     /// Non-blocking probe for a matching message (real arrival, i.e. the
     /// message exists; simulated arrival time may still be in the future).
-    /// Under the event backend a miss yields once (like
-    /// [`Rank::try_fetch_msg_ctx`]) so probe spin loops stay live.
+    /// A miss yields once (like [`Rank::try_fetch_msg_ctx`]) so probe spin
+    /// loops stay live.
     pub fn probe(&mut self, src: Option<usize>, tag: Tag) -> bool {
         self.probe_ctx(src, tag, 0)
     }
@@ -1222,11 +1086,8 @@ impl Rank {
         if self.mailbox.probe(src, tag, context) {
             return true;
         }
-        if let Some(h) = &self.sched {
-            h.park_polling(src, tag, context, self.now);
-            return self.mailbox.probe(src, tag, context);
-        }
-        false
+        self.sched.park_polling(src, tag, context, self.now);
+        self.mailbox.probe(src, tag, context)
     }
 
     /// `MPI_Iprobe` in simulated time: true iff a matching message has both
@@ -1246,13 +1107,10 @@ impl Rank {
             // passed is a pure clock question — no reason to yield.
             return m.arrival <= now;
         }
-        if let Some(h) = &self.sched {
-            h.park_polling(src, tag, context, now);
-            if let Some(m) = self.mailbox.peek(src, tag, context) {
-                return m.arrival <= now;
-            }
-        }
-        false
+        self.sched.park_polling(src, tag, context, now);
+        self.mailbox
+            .peek(src, tag, context)
+            .is_some_and(|m| m.arrival <= now)
     }
 
     /// Charge the CPU-side posting cost of a nonblocking send (`o_send`
@@ -1489,9 +1347,8 @@ mod tests {
             },
             seed: 1,
             recorder_capacity: DEFAULT_RECORDER_CAPACITY,
-            backend: SchedBackend::Events,
             stack_bytes: DEFAULT_STACK_BYTES,
-            sched_tie_seed: None,
+            schedule_seed: None,
             knobs: None,
             task_backend: None,
         };
@@ -1563,18 +1420,23 @@ mod tests {
 
     #[test]
     fn flight_recorder_is_always_on() {
-        let counts = Cluster::new(ClusterConfig::uniform(2)).run(|r| {
-            // No tracing, no metrics: the recorder still sees traffic.
-            if r.rank() == 0 {
-                r.send_bytes(1, Tag(0), vec![0u8; 64]);
-            } else {
-                let _ = r.recv_bytes(Some(0), Tag(0));
-            }
-            r.trace_mark("done");
-            r.flight_recorder().recorded()
-        });
+        // The run hands back its own recorders: the process-wide last-run
+        // store is overwritten by any test running concurrently.
+        let (counts, recorders): (Vec<_>, Vec<_>) = Cluster::new(ClusterConfig::uniform(2))
+            .run(|r| {
+                // No tracing, no metrics: the recorder still sees traffic.
+                if r.rank() == 0 {
+                    r.send_bytes(1, Tag(0), vec![0u8; 64]);
+                } else {
+                    let _ = r.recv_bytes(Some(0), Tag(0));
+                }
+                r.trace_mark("done");
+                (r.flight_recorder().recorded(), r.flight_recorder().clone())
+            })
+            .into_iter()
+            .unzip();
         assert_eq!(counts, vec![2, 2]); // send+mark / recv+mark
-        let dump = crate::recorder::last_run_dump().expect("run recorded");
+        let dump = crate::recorder::render_dump(&recorders);
         assert!(dump.contains("send       dst=1 bytes=64"), "{dump}");
         assert!(dump.contains("recv       src=0 bytes=64"), "{dump}");
         assert!(dump.contains("mark       done"), "{dump}");
@@ -1802,9 +1664,7 @@ mod tests {
             } else {
                 // Wait until the envelope physically exists, then compare
                 // the weak probe with the simulated-arrival-aware one.
-                while !r.probe(Some(0), Tag(0)) {
-                    std::thread::yield_now();
-                }
+                while !r.probe(Some(0), Tag(0)) {}
                 assert!(
                     !r.iprobe(Some(0), Tag(0)),
                     "simulated arrival still in the future"
@@ -1818,18 +1678,21 @@ mod tests {
 
     #[test]
     fn send_drain_and_irecv_post_hit_recorder_and_trace() {
-        let out = Cluster::new(ClusterConfig::uniform(2)).run(|r| {
-            r.enable_tracing();
-            if r.rank() == 0 {
-                let done = r.isend_bytes_ctx(1, Tag(0), 0, vec![0u8; 4096]);
-                r.send_drain(done);
-            } else {
-                r.trace_irecv_post(Some(0), Tag(0));
-                let msg = r.fetch_msg_ctx(Some(0), Tag(0), 0);
-                let _ = r.complete_recv_msg(msg);
-            }
-            r.take_trace()
-        });
+        let (out, recorders): (Vec<_>, Vec<_>) = Cluster::new(ClusterConfig::uniform(2))
+            .run(|r| {
+                r.enable_tracing();
+                if r.rank() == 0 {
+                    let done = r.isend_bytes_ctx(1, Tag(0), 0, vec![0u8; 4096]);
+                    r.send_drain(done);
+                } else {
+                    r.trace_irecv_post(Some(0), Tag(0));
+                    let msg = r.fetch_msg_ctx(Some(0), Tag(0), 0);
+                    let _ = r.complete_recv_msg(msg);
+                }
+                (r.take_trace(), r.flight_recorder().clone())
+            })
+            .into_iter()
+            .unzip();
         assert!(out[0].iter().any(
             |e| matches!(e.kind, EventKind::SendWait { residual } if residual > SimTime::ZERO)
         ));
@@ -1840,7 +1703,7 @@ mod tests {
                 tag: 0
             }
         )));
-        let dump = crate::recorder::last_run_dump().expect("run recorded");
+        let dump = crate::recorder::render_dump(&recorders);
         assert!(dump.contains("send-wait  residual_ns="), "{dump}");
         assert!(dump.contains("irecv      src=0 tag=0"), "{dump}");
     }
@@ -1856,13 +1719,16 @@ mod tests {
         });
     }
 
-    /// The same program yields the same clocks, payloads, and stats under
-    /// both backends — the simnet-level version of the differential
-    /// contract (the bench crate proves it on full workloads).
+    /// The same program yields the same clocks, payloads, and stats in
+    /// the canonical order and under seeded schedules — the simnet-level
+    /// version of the order-independence oracle (the bench crate checks
+    /// it on full workloads).
     #[test]
-    fn event_and_thread_backends_agree() {
-        let run = |backend: SchedBackend| {
-            Cluster::new(ClusterConfig::paper_testbed(6).with_backend(backend)).run(|r| {
+    fn schedule_seeds_agree_with_the_default_order() {
+        let run = |seed: Option<u64>| {
+            let mut cfg = ClusterConfig::paper_testbed(6);
+            cfg.schedule_seed = seed;
+            Cluster::new(cfg).run(|r| {
                 let right = (r.rank() + 1) % r.size();
                 let left = (r.rank() + r.size() - 1) % r.size();
                 for i in 0..8u32 {
@@ -1874,12 +1740,14 @@ mod tests {
                 (r.now(), r.stats().wait, r.stats().comm, r.stats().compute)
             })
         };
-        assert_eq!(run(SchedBackend::Events), run(SchedBackend::Threads));
+        let reference = run(None);
+        for seed in 0..8 {
+            assert_eq!(run(Some(seed)), reference, "schedule seed {seed}");
+        }
     }
 
     /// The portable handoff task backend and the asm fiber backend must
-    /// produce bitwise-identical simulated results — the differential
-    /// contract one layer below [`SchedBackend`]: same event-loop
+    /// produce bitwise-identical simulated results: same event-loop
     /// policy, different suspend/resume primitive.
     #[cfg(all(target_arch = "x86_64", unix))]
     #[test]
@@ -1902,12 +1770,13 @@ mod tests {
 
     /// Two ranks blocked on receives nobody will send: the event
     /// scheduler proves the negative (no runnable rank, no message in
-    /// flight) and panics instead of hanging — a diagnosis the threaded
-    /// backend fundamentally cannot make.
+    /// flight) and panics instead of hanging.
     #[test]
     fn event_backend_detects_deadlock() {
+        // The run's panic fires the process-global dump hook.
+        let _guard = HOOK_GUARD.lock().unwrap_or_else(|e| e.into_inner());
         let res = std::panic::catch_unwind(|| {
-            Cluster::new(ClusterConfig::uniform(2).with_backend(SchedBackend::Events)).run(|r| {
+            Cluster::new(ClusterConfig::uniform(2)).run(|r| {
                 let peer = 1 - r.rank();
                 let _ = r.recv_bytes(Some(peer), Tag(0));
             })
@@ -1922,12 +1791,12 @@ mod tests {
     }
 
     /// A rank that exits while a peer still waits on it is reported as a
-    /// disconnect (matching the threaded backend's channel-close error),
-    /// not as a deadlock.
+    /// disconnect, not as a deadlock.
     #[test]
     fn event_backend_reports_peer_disconnect() {
+        let _guard = HOOK_GUARD.lock().unwrap_or_else(|e| e.into_inner());
         let res = std::panic::catch_unwind(|| {
-            Cluster::new(ClusterConfig::uniform(2).with_backend(SchedBackend::Events)).run(|r| {
+            Cluster::new(ClusterConfig::uniform(2)).run(|r| {
                 if r.rank() == 0 {
                     let _ = r.recv_bytes(Some(1), Tag(0));
                 }
@@ -1940,17 +1809,5 @@ mod tests {
             .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
             .expect("panic payload is a message");
         assert!(msg.contains("disconnected"), "unexpected message: {msg}");
-    }
-
-    #[test]
-    fn backend_env_parse() {
-        assert_eq!(SchedBackend::from_env(), None);
-        // `from_env` reads NCD_SCHED; the parse itself is pure, so drive
-        // it through the public constructor default instead of mutating
-        // the process environment (tests run concurrently).
-        assert_eq!(
-            ClusterConfig::uniform(1).backend,
-            SchedBackend::from_env().unwrap_or(SchedBackend::Events)
-        );
     }
 }

@@ -1,13 +1,11 @@
 //! The event-driven rank scheduler: ranks as cooperatively scheduled
 //! resumable tasks over the simulated clock.
 //!
-//! Threads-as-ranks pays one OS thread — kernel stack, scheduler slot,
-//! condvar wakeups on every message — per simulated rank, which caps
-//! clusters at a few dozen ranks and taxes every benchmark with real
-//! scheduling noise that has nothing to do with simulated time. This
-//! module replaces that substrate: each rank runs on a userspace
-//! *fiber* (a heap-allocated stack plus a ~20-instruction context
-//! switch), and a single scheduler thread drives all of them.
+//! Each rank runs on a userspace *fiber* (a heap-allocated stack plus a
+//! ~20-instruction context switch), and a single scheduler thread drives
+//! all of them — no kernel stack, scheduler slot or condvar wakeup per
+//! simulated rank, so clusters scale to thousands of ranks and benchmarks
+//! carry no real scheduling noise.
 //!
 //! ## The event loop
 //!
@@ -30,29 +28,25 @@
 //! ready queue runs dry, so `while !comm.test(..) { compute }` loops
 //! make progress without a matching deposit.
 //!
-//! ## Determinism
+//! ## Determinism and schedule exploration
 //!
 //! The loop consults nothing but simulated time, rank ids and the
 //! deposit order produced by the ranks themselves, so a cluster run is
-//! a deterministic function of the program — unlike threads-as-ranks,
-//! where the OS interleaving leaks into physical message order (it
-//! never leaked into *simulated* results because matching is by
-//! explicit source and arrival timestamps are computed by the sender;
-//! the event scheduler keeps exactly that contract, which is why golden
-//! traces are bitwise identical across both backends). For tie-break
-//! robustness testing, `drive` accepts a seed that shuffles which of
-//! several ready ranks *with equal simulated time* runs first; results
-//! must not depend on it.
+//! a deterministic function of the program. Simulated results must not
+//! depend on the order either: matching is by explicit source and
+//! arrival timestamps are computed by the sender. To check that, `drive`
+//! accepts a seed that makes every scheduling decision pick uniformly
+//! among *all* ready ranks instead of the earliest one. Any seed gives a
+//! legal execution, so a result that changes under some seed is an
+//! order dependence, replayable from that seed.
 //!
 //! ## Stalls
 //!
-//! Threads-as-ranks hangs forever on a communication deadlock. The
-//! event scheduler can see one: no rank is ready, no deposit is
-//! pending, and promotion of the polling set twice produced the exact
-//! same picture. It then *poisons* the run — every parked rank's next
-//! park panics (unwinding its fiber so stacks and results drop
-//! cleanly) — and reports the first panic in rank order, mirroring the
-//! join-order panic propagation of the threaded backend.
+//! The scheduler can see a communication deadlock: no rank is ready, no
+//! deposit is pending, and promotion of the polling set twice produced
+//! the exact same picture. It then *poisons* the run — every parked
+//! rank's next park panics (unwinding its fiber so stacks and results
+//! drop cleanly) — and reports the first panic in rank order.
 
 use std::any::Any;
 use std::collections::{BTreeSet, VecDeque};
@@ -169,8 +163,7 @@ impl EventCtl {
 }
 
 /// A rank's side of the park/unpark protocol, held by
-/// [`crate::runtime::Rank`] under the event backend (`None` under
-/// threads-as-ranks).
+/// [`crate::runtime::Rank`].
 #[derive(Clone)]
 pub(crate) struct EventHandle {
     ctl: Arc<EventCtl>,
@@ -273,9 +266,8 @@ impl TaskBackend {
         }
     }
 
-    /// Override from `NCD_SCHED_TASKS` (`fiber` | `handoff`),
-    /// mirroring `NCD_SCHED` one layer up; `None` when unset or
-    /// unrecognized.
+    /// Override from `NCD_SCHED_TASKS` (`fiber` | `handoff`); `None`
+    /// when unset or unrecognized.
     pub fn from_env() -> Option<TaskBackend> {
         match std::env::var("NCD_SCHED_TASKS").as_deref() {
             Ok("fiber") => Some(TaskBackend::Fiber),
@@ -296,7 +288,7 @@ impl TaskBackend {
 /// bucket absorbs every depth `>= 2^(DEPTH_BUCKETS-1)`.
 pub const DEPTH_BUCKETS: usize = 16;
 
-/// Counters and distributions from one [`drive`] invocation — the
+/// Counters and distributions from one [`crate::Cluster::run`] — the
 /// scheduler observing itself, so a bench can report how hard the
 /// event loop worked (switch counts, queue pressure, stack use)
 /// alongside the simulated results it produced.
@@ -310,9 +302,9 @@ pub struct SchedStats {
     /// Context switches into a task (clean scheduling decisions; the
     /// poison resumes of a failed run's drain are not counted).
     pub resumes: u64,
-    /// Blocking parks taken ([`EventHandle::park_blocked`]).
+    /// Blocking parks taken (`EventHandle::park_blocked`).
     pub parks_blocked: u64,
-    /// Polling parks taken ([`EventHandle::park_polling`]).
+    /// Polling parks taken (`EventHandle::park_polling`).
     pub parks_polling: u64,
     /// Parked ranks woken by a matching deposit.
     pub deposit_wakes: u64,
@@ -372,24 +364,24 @@ pub fn last_sched_stats() -> Option<SchedStats> {
 
 /// Why a driven run did not complete cleanly.
 pub(crate) struct RankPanic {
-    /// Lowest-numbered rank whose task panicked (matching the threaded
-    /// backend, which joins and propagates in rank order).
+    /// Lowest-numbered rank whose task panicked, so the reported panic
+    /// does not depend on which rank happened to fail first.
     pub rank: usize,
     pub payload: Box<dyn Any + Send>,
 }
 
 /// Run every task to completion under the deterministic event loop.
 ///
-/// `tie_seed` perturbs which of several ready ranks with *equal*
-/// simulated park time runs first — `None` breaks ties by rank id.
-/// Simulated results must be independent of it (property-tested at the
-/// workspace level).
+/// `order_seed` makes every scheduling decision pick uniformly among all
+/// ready ranks — `None` resumes the earliest `(park time, rank id)`.
+/// Simulated results must be independent of it (checked at the workspace
+/// level).
 pub(crate) fn drive(
     ctl: &EventCtl,
     tasks: &mut [Task],
-    tie_seed: Option<u64>,
+    order_seed: Option<u64>,
 ) -> Result<(), RankPanic> {
-    let (result, stats) = drive_with_stats(ctl, tasks, tie_seed);
+    let (result, stats) = drive_with_stats(ctl, tasks, order_seed);
     *LAST_SCHED_STATS.lock().unwrap_or_else(|e| e.into_inner()) = Some(stats);
     result
 }
@@ -400,14 +392,14 @@ pub(crate) fn drive(
 pub(crate) fn drive_with_stats(
     ctl: &EventCtl,
     tasks: &mut [Task],
-    tie_seed: Option<u64>,
+    order_seed: Option<u64>,
 ) -> (Result<(), RankPanic>, SchedStats) {
     let mut stats = SchedStats {
         tasks: tasks.len(),
         backend: tasks.first().map_or("", |t| t.backend().label()),
         ..SchedStats::default()
     };
-    let result = drive_loop(ctl, tasks, tie_seed, &mut stats);
+    let result = drive_loop(ctl, tasks, order_seed, &mut stats);
     let inner = ctl.lock();
     stats.parks_blocked = inner.parks_blocked;
     stats.parks_polling = inner.parks_polling;
@@ -418,7 +410,7 @@ pub(crate) fn drive_with_stats(
 fn drive_loop(
     ctl: &EventCtl,
     tasks: &mut [Task],
-    tie_seed: Option<u64>,
+    order_seed: Option<u64>,
     stats: &mut SchedStats,
 ) -> Result<(), RankPanic> {
     let n = tasks.len();
@@ -426,7 +418,7 @@ fn drive_loop(
     let mut finished = vec![false; n];
     let mut n_finished = 0usize;
     let mut panics: Vec<(usize, Box<dyn Any + Send>)> = Vec::new();
-    let mut tie_rng = tie_seed.map(StdRng::seed_from_u64);
+    let mut order_rng = order_seed.map(StdRng::seed_from_u64);
     // (deposits_seen, [(rank, park time)]) at the last dry-queue
     // promotion, plus how often that exact picture has recurred.
     let mut poll_sig: Option<(u64, Vec<(usize, SimTime)>)> = None;
@@ -456,7 +448,7 @@ fn drive_loop(
         }
 
         let depth = ready.len();
-        let next = pop_min(&mut ready, &mut tie_rng);
+        let next = pop_next(&mut ready, &mut order_rng);
         let r = match next {
             Some(r) => r,
             None => {
@@ -535,8 +527,7 @@ fn stall(
 ) -> Result<(), RankPanic> {
     let had_panic = !panics.is_empty();
     let msg = if had_panic || finished.iter().any(|&f| f) {
-        // A peer already exited; the parked ranks wait on it in vain —
-        // the same condition the mailbox reports under threads.
+        // A peer already exited; the parked ranks wait on it in vain.
         "peer rank disconnected while a receive was pending"
     } else {
         "simulated deadlock: every rank is parked and no message can arrive"
@@ -571,18 +562,14 @@ fn min_rank_panic(panics: Vec<(usize, Box<dyn Any + Send>)>) -> Option<RankPanic
         .map(|(rank, payload)| RankPanic { rank, payload })
 }
 
-/// Pop the minimum `(park time, rank)` entry; with a tie RNG, pick
-/// uniformly among all entries sharing the minimum park time.
-fn pop_min(ready: &mut BTreeSet<(SimTime, usize)>, rng: &mut Option<StdRng>) -> Option<usize> {
-    let &(t0, first) = ready.iter().next()?;
-    let pick = match rng {
-        None => (t0, first),
-        Some(rng) => {
-            let ties: Vec<(SimTime, usize)> =
-                ready.range((t0, 0)..=(t0, usize::MAX)).copied().collect();
-            ties[rng.gen_range(0..ties.len())]
-        }
+/// Pop the minimum `(park time, rank)` entry; with an order RNG, pick
+/// uniformly among all ready entries.
+fn pop_next(ready: &mut BTreeSet<(SimTime, usize)>, rng: &mut Option<StdRng>) -> Option<usize> {
+    let k = match rng {
+        Some(rng) if !ready.is_empty() => rng.gen_range(0..ready.len()),
+        _ => 0,
     };
+    let pick = *ready.iter().nth(k)?;
     ready.remove(&pick);
     Some(pick.1)
 }
@@ -1008,9 +995,9 @@ mod fiber {
     }
 }
 
-/// Portable fallback: each task is an OS thread, but — unlike
-/// threads-as-ranks — exactly one of {scheduler, some task} is ever
-/// runnable, handing a condvar baton back and forth. Scheduling policy
+/// Portable fallback: each task is an OS thread, but exactly one of
+/// {scheduler, some task} is ever runnable, handing a condvar baton back
+/// and forth. Scheduling policy
 /// and simulated results are identical to the fiber backend; only the
 /// suspend/resume cost differs.
 mod handoff {
@@ -1330,8 +1317,9 @@ mod tests {
     }
 
     #[test]
-    fn tie_seed_shuffles_equal_time_order_only() {
-        // With distinct park times the seed must not matter.
+    fn schedule_seed_picks_among_all_ready_ranks() {
+        // Distinct park times: the canonical order is by park time, a
+        // seed may resume any ready rank first.
         let run = |seed: Option<u64>| {
             let n = 5;
             let ctl = Arc::new(EventCtl::new(n));
@@ -1342,8 +1330,7 @@ mod tests {
                 let handle = EventHandle::new(ctl.clone(), shared.clone(), id);
                 let log = log.clone();
                 let body = Box::new(move || {
-                    // Park once at a distinct time; resume order must
-                    // be by park time regardless of the seed.
+                    // Park once at a distinct time, then log the resume.
                     handle.park_polling(None, ANY_TAG, 0, SimTime((n - id) as u64));
                     log.lock().unwrap().push(id);
                 });
@@ -1355,8 +1342,21 @@ mod tests {
             let v = log.lock().unwrap().clone();
             v
         };
-        assert_eq!(run(None), vec![4, 3, 2, 1, 0]);
-        assert_eq!(run(Some(1)), vec![4, 3, 2, 1, 0]);
-        assert_eq!(run(Some(99)), vec![4, 3, 2, 1, 0]);
+        let canonical = vec![4, 3, 2, 1, 0];
+        assert_eq!(run(None), canonical);
+        let mut reordered = 0;
+        for seed in 0..8 {
+            let order = run(Some(seed));
+            assert_eq!(order, run(Some(seed)), "seed {seed} must replay");
+            let mut sorted = order.clone();
+            sorted.sort_unstable();
+            assert_eq!(
+                sorted,
+                vec![0, 1, 2, 3, 4],
+                "seed {seed} ran every rank once"
+            );
+            reordered += usize::from(order != canonical);
+        }
+        assert!(reordered > 0, "no seed left the park-time order");
     }
 }
