@@ -21,7 +21,7 @@ use ncd_simnet::ratio_to_millis;
 
 use crate::coll::{coll_tag, CollOp};
 use crate::comm::Comm;
-use crate::config::MpiFlavor;
+use crate::config::{MpiConfig, MpiFlavor};
 use crate::select::outlier_ratio_of;
 
 /// One peer's slot in an alltoallw: `count` instances of `dtype` located at
@@ -78,6 +78,227 @@ impl AlltoallwSchedule {
     }
 }
 
+/// A persistent alltoallw, the analogue of MPI-4's `MPI_Alltoallw_init`:
+/// the slot arrays plus the schedule compiled from them once — the
+/// decision record, the bin census, the send order, the receive sources
+/// and the receive volumes — so that every [`Comm::alltoallw_start`]
+/// skips the per-call bookkeeping of [`Comm::alltoallw`] and does the
+/// same communication.
+///
+/// The plan remembers the rank, communicator size and configuration it
+/// was compiled under (flavor, `alltoallw_pin`, `small_msg_threshold`,
+/// `outlier_fraction`). Started on a communicator that differs in any of
+/// them, it recompiles for that call, so one plan may run over both
+/// flavors or under a what-if pin set after it was built.
+#[derive(Clone, Debug)]
+pub struct AlltoallwPlan {
+    sends: Vec<WPeer>,
+    recvs: Vec<WPeer>,
+    compiled: Compiled,
+}
+
+impl AlltoallwPlan {
+    /// Compile the plan of communicator rank `rank` under `cfg`
+    /// (`MPI_Alltoallw_init`); the communicator size is the number of
+    /// slots on each side.
+    pub fn new(cfg: &MpiConfig, rank: usize, sends: Vec<WPeer>, recvs: Vec<WPeer>) -> Self {
+        let key = PlanKey::new(cfg, rank, sends.len());
+        let compiled = Compiled::new(key, key.schedule(), &sends, &recvs, Needs::ALL);
+        AlltoallwPlan {
+            sends,
+            recvs,
+            compiled,
+        }
+    }
+
+    /// Per-peer send slots, indexed by rank.
+    pub fn sends(&self) -> &[WPeer] {
+        &self.sends
+    }
+
+    /// Per-peer receive slots, indexed by rank.
+    pub fn recvs(&self) -> &[WPeer] {
+        &self.recvs
+    }
+}
+
+/// What an alltoallw schedule depends on besides its slot arrays: the
+/// caller's place in the communicator and the configuration fields the
+/// decision, the schedule and the bins read.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct PlanKey {
+    rank: usize,
+    size: usize,
+    flavor: MpiFlavor,
+    pin: Option<AlltoallwSchedule>,
+    small_msg_threshold: usize,
+    outlier_fraction: f64,
+}
+
+impl PlanKey {
+    fn new(cfg: &MpiConfig, rank: usize, size: usize) -> Self {
+        PlanKey {
+            rank,
+            size,
+            flavor: cfg.flavor,
+            pin: cfg.alltoallw_pin,
+            small_msg_threshold: cfg.small_msg_threshold,
+            outlier_fraction: cfg.outlier_fraction,
+        }
+    }
+
+    /// A pinned schedule (what-if decision-flip intervention) overrides
+    /// the flavor's default.
+    fn schedule(&self) -> AlltoallwSchedule {
+        self.pin.unwrap_or(match self.flavor {
+            MpiFlavor::Baseline => AlltoallwSchedule::RoundRobin,
+            MpiFlavor::Optimized => AlltoallwSchedule::Binned,
+        })
+    }
+}
+
+/// The evidence one decision record carries.
+#[derive(Clone, Debug)]
+struct Decision {
+    n: usize,
+    total: u64,
+    ratio_millis: u64,
+    pow2: bool,
+    reason: &'static str,
+}
+
+/// Bin membership of the outgoing exchanges, self included, and their
+/// total volume.
+#[derive(Clone, Copy, Debug)]
+struct Census {
+    total: u64,
+    zero: u64,
+    small: u64,
+    large: u64,
+}
+
+/// Which optional parts of a schedule to compile. A one-shot call
+/// compiles only what its observers will read.
+#[derive(Clone, Copy)]
+struct Needs {
+    decision: bool,
+    census: bool,
+    recv_volumes: bool,
+}
+
+impl Needs {
+    const ALL: Needs = Needs {
+        decision: true,
+        census: true,
+        recv_volumes: true,
+    };
+}
+
+/// Everything an alltoallw call derives from its slot arrays and its
+/// configuration before it moves any data.
+#[derive(Clone, Debug)]
+struct Compiled {
+    key: PlanKey,
+    schedule: AlltoallwSchedule,
+    decision: Option<Decision>,
+    census: Option<Census>,
+    /// Binned only: destinations in initiation order, the small bin then
+    /// the large one, each by increasing ring distance.
+    send_order: Vec<usize>,
+    /// Binned only: the peers that send to this rank, small expected
+    /// first, each bin by increasing ring distance.
+    sources: Vec<usize>,
+    /// Per-source receive volumes, for the comm-map epoch.
+    recv_volumes: Option<Vec<u64>>,
+}
+
+impl Compiled {
+    fn new(
+        key: PlanKey,
+        schedule: AlltoallwSchedule,
+        sends: &[WPeer],
+        recvs: &[WPeer],
+        needs: Needs,
+    ) -> Self {
+        let (rank, size, threshold) = (key.rank, key.size, key.small_msg_threshold);
+        assert_eq!(sends.len(), size, "one send slot per rank");
+        assert_eq!(recvs.len(), size, "one recv slot per rank");
+        // The schedule is fixed by the flavor (or the pin), but the
+        // decision record still carries the measured evidence — the
+        // outgoing per-peer volume set's outlier ratio — so the analysis
+        // layer can judge the choice.
+        let decision = needs.decision.then(|| {
+            let vols: Vec<u64> = sends.iter().map(|s| s.bytes() as u64).collect();
+            let n = sends.len();
+            Decision {
+                n,
+                total: vols.iter().sum(),
+                ratio_millis: ratio_to_millis(outlier_ratio_of(&vols, key.outlier_fraction)),
+                pow2: n != 0 && n & (n - 1) == 0,
+                reason: if key.pin.is_some() {
+                    "pinned"
+                } else {
+                    match key.flavor {
+                        MpiFlavor::Baseline => "baseline flavor: lock-step round robin",
+                        MpiFlavor::Optimized => "optimized flavor: zero-exempt three-bin schedule",
+                    }
+                },
+            }
+        });
+        let census = needs.census.then(|| {
+            let mut c = Census {
+                total: 0,
+                zero: 0,
+                small: 0,
+                large: 0,
+            };
+            for s in sends {
+                let b = s.bytes();
+                c.total += b as u64;
+                match b {
+                    0 => c.zero += 1,
+                    b if b <= threshold => c.small += 1,
+                    _ => c.large += 1,
+                }
+            }
+            c
+        });
+        let (mut send_order, mut sources) = (Vec::new(), Vec::new());
+        if schedule == AlltoallwSchedule::Binned {
+            // Walk the peers by increasing ring distance (self excluded),
+            // binning each side: small first, large appended after.
+            let (mut large_sends, mut large_sources) = (Vec::new(), Vec::new());
+            for i in 1..size {
+                let peer = (rank + i) % size;
+                match sends[peer].bytes() {
+                    0 => {}
+                    b if b <= threshold => send_order.push(peer),
+                    _ => large_sends.push(peer),
+                }
+                match recvs[peer].bytes() {
+                    0 => {}
+                    b if b <= threshold => sources.push(peer),
+                    _ => large_sources.push(peer),
+                }
+            }
+            send_order.append(&mut large_sends);
+            sources.append(&mut large_sources);
+        }
+        let recv_volumes = needs
+            .recv_volumes
+            .then(|| recvs.iter().map(|r| r.bytes() as u64).collect());
+        Compiled {
+            key,
+            schedule,
+            decision,
+            census,
+            send_order,
+            sources,
+            recv_volumes,
+        }
+    }
+}
+
 impl Comm<'_> {
     /// General all-to-all with per-peer counts and datatypes.
     ///
@@ -85,7 +306,8 @@ impl Comm<'_> {
     /// both arrays must have one entry per rank, and the two sides of every
     /// pairwise exchange must agree on the packed byte count (zero is fine
     /// and means "no data with this peer"). The schedule follows the
-    /// communicator's flavor.
+    /// communicator's flavor, or its `alltoallw_pin`; the choice is
+    /// recorded as an algorithm decision.
     pub fn alltoallw(
         &mut self,
         sendbuf: &[u8],
@@ -93,46 +315,19 @@ impl Comm<'_> {
         recvbuf: &mut [u8],
         recvs: &[WPeer],
     ) {
-        // A pinned schedule (what-if decision-flip intervention) overrides
-        // the flavor's default; the audit records the forced choice.
-        let pin = self.config().alltoallw_pin;
-        let schedule = pin.unwrap_or(match self.config().flavor {
-            MpiFlavor::Baseline => AlltoallwSchedule::RoundRobin,
-            MpiFlavor::Optimized => AlltoallwSchedule::Binned,
-        });
-        // Audit the selection: the schedule is fixed by the flavor, but
-        // the decision record still carries the measured evidence (the
-        // outgoing per-peer volume set's outlier ratio) so the analysis
-        // layer can judge the choice. Recording charges no simulated
-        // time.
-        {
-            let vols: Vec<u64> = sends.iter().map(|s| s.bytes() as u64).collect();
-            let total: u64 = vols.iter().sum();
-            let ratio = outlier_ratio_of(&vols, self.config().outlier_fraction);
-            let n = sends.len();
-            let pow2 = n != 0 && n & (n - 1) == 0;
-            let reason = if pin.is_some() {
-                "pinned"
-            } else {
-                match self.config().flavor {
-                    MpiFlavor::Baseline => "baseline flavor: lock-step round robin",
-                    MpiFlavor::Optimized => "optimized flavor: zero-exempt three-bin schedule",
-                }
-            };
-            self.rank_mut().observe_algo_decision(
-                "alltoallw",
-                n,
-                total,
-                ratio_to_millis(ratio),
-                pow2,
-                schedule.label(),
-                reason,
-            );
-        }
-        self.alltoallw_with(schedule, sendbuf, sends, recvbuf, recvs);
+        let key = self.alltoallw_key();
+        let plan = Compiled::new(
+            key,
+            key.schedule(),
+            sends,
+            recvs,
+            self.alltoallw_needs(true),
+        );
+        self.alltoallw_compiled(&plan, sendbuf, sends, recvbuf, recvs);
     }
 
-    /// Run alltoallw with an explicit schedule (exposed for benchmarks).
+    /// Run alltoallw with an explicit schedule and no decision record
+    /// (exposed for benchmarks).
     pub fn alltoallw_with(
         &mut self,
         schedule: AlltoallwSchedule,
@@ -141,46 +336,90 @@ impl Comm<'_> {
         recvbuf: &mut [u8],
         recvs: &[WPeer],
     ) {
-        let size = self.size();
-        assert_eq!(sends.len(), size, "one send slot per rank");
-        assert_eq!(recvs.len(), size, "one recv slot per rank");
-        if self.rank_ref().metrics().is_enabled() {
-            let label = schedule.label();
-            let total: usize = sends.iter().map(WPeer::bytes).sum();
-            self.rank_mut()
-                .metric_counter_add("alltoallw", "invocations", label, 1);
-            self.rank_mut()
-                .metric_observe("alltoallw", "bytes", label, total as u64);
-            // Bin membership of the outgoing exchanges (self included),
-            // recorded for both schedules so the zero-bin exemption the
-            // binned schedule exploits is visible in baseline runs too.
-            let threshold = self.config().small_msg_threshold;
-            let (mut zero, mut small, mut large) = (0u64, 0u64, 0u64);
-            for s in sends {
-                match s.bytes() {
-                    0 => zero += 1,
-                    b if b <= threshold => small += 1,
-                    _ => large += 1,
-                }
-            }
-            self.rank_mut()
-                .metric_counter_add("alltoallw", "bin_zero", label, zero);
-            self.rank_mut()
-                .metric_counter_add("alltoallw", "bin_small", label, small);
-            self.rank_mut()
-                .metric_counter_add("alltoallw", "bin_large", label, large);
+        let key = self.alltoallw_key();
+        let plan = Compiled::new(key, schedule, sends, recvs, self.alltoallw_needs(false));
+        self.alltoallw_compiled(&plan, sendbuf, sends, recvbuf, recvs);
+    }
+
+    /// Run a persistent alltoallw to completion: the same messages,
+    /// charges and observations as [`Comm::alltoallw`] over the plan's
+    /// slots. A plan compiled under another rank, size or configuration
+    /// is recompiled for this call.
+    pub fn alltoallw_start(&mut self, plan: &AlltoallwPlan, sendbuf: &[u8], recvbuf: &mut [u8]) {
+        let key = self.alltoallw_key();
+        let fresh;
+        let compiled = if plan.compiled.key == key {
+            &plan.compiled
+        } else {
+            let needs = self.alltoallw_needs(true);
+            fresh = Compiled::new(key, key.schedule(), &plan.sends, &plan.recvs, needs);
+            &fresh
+        };
+        self.alltoallw_compiled(compiled, sendbuf, &plan.sends, recvbuf, &plan.recvs);
+    }
+
+    fn alltoallw_key(&self) -> PlanKey {
+        PlanKey::new(self.config(), self.rank(), self.size())
+    }
+
+    /// What a one-shot call must compile: the observers' inputs only when
+    /// the observers are on.
+    fn alltoallw_needs(&self, decision: bool) -> Needs {
+        Needs {
+            decision,
+            census: self.rank_ref().metrics().is_enabled(),
+            recv_volumes: self.rank_ref().comm_map_enabled(),
         }
-        match schedule {
+    }
+
+    /// The one alltoallw runner: record, exchange, close the epoch.
+    fn alltoallw_compiled(
+        &mut self,
+        plan: &Compiled,
+        sendbuf: &[u8],
+        sends: &[WPeer],
+        recvbuf: &mut [u8],
+        recvs: &[WPeer],
+    ) {
+        let label = plan.schedule.label();
+        // Recording the decision charges no simulated time.
+        if let Some(d) = &plan.decision {
+            self.rank_mut().observe_algo_decision(
+                "alltoallw",
+                d.n,
+                d.total,
+                d.ratio_millis,
+                d.pow2,
+                label,
+                d.reason,
+            );
+        }
+        if self.rank_ref().metrics().is_enabled() {
+            // Bin membership is recorded for both schedules so the
+            // zero-bin exemption the binned schedule exploits is visible
+            // in baseline runs too.
+            let c = plan.census.expect("census compiled while metrics are on");
+            let rank = self.rank_mut();
+            rank.metric_counter_add("alltoallw", "invocations", label, 1);
+            rank.metric_observe("alltoallw", "bytes", label, c.total);
+            rank.metric_counter_add("alltoallw", "bin_zero", label, c.zero);
+            rank.metric_counter_add("alltoallw", "bin_small", label, c.small);
+            rank.metric_counter_add("alltoallw", "bin_large", label, c.large);
+        }
+        match plan.schedule {
             AlltoallwSchedule::RoundRobin => self.a2aw_round_robin(sendbuf, sends, recvbuf, recvs),
-            AlltoallwSchedule::Binned => self.a2aw_binned(sendbuf, sends, recvbuf, recvs),
+            AlltoallwSchedule::Binned => self.a2aw_binned(plan, sendbuf, sends, recvbuf, recvs),
         }
         // One comm-map epoch per call, keyed by the schedule that
         // produced the traffic (pinned and auto-selected runs alike).
         if self.rank_ref().comm_map_enabled() {
-            let label = format!("alltoallw/{}", schedule.label());
-            self.rank_mut().comm_epoch(&label);
-            let volumes: Vec<u64> = recvs.iter().map(|r| r.bytes() as u64).collect();
-            self.drift_epoch(&label, &volumes);
+            let epoch = format!("alltoallw/{label}");
+            self.rank_mut().comm_epoch(&epoch);
+            let volumes = plan
+                .recv_volumes
+                .as_deref()
+                .expect("receive volumes compiled while the comm map is on");
+            self.drift_epoch(&epoch, volumes);
         }
     }
 
@@ -238,43 +477,21 @@ impl Comm<'_> {
     /// Optimized: zero bin exempted, small bin processed before large.
     fn a2aw_binned(
         &mut self,
+        plan: &Compiled,
         sendbuf: &[u8],
         sends: &[WPeer],
         recvbuf: &mut [u8],
         recvs: &[WPeer],
     ) {
-        let size = self.size();
         let rank = self.rank();
-        let threshold = self.config().small_msg_threshold;
         self.a2aw_self_copy(sendbuf, &sends[rank], recvbuf, &recvs[rank]);
 
-        // Bin the outgoing exchanges (self excluded). Deterministic order
-        // within a bin: increasing ring distance.
-        let mut small = Vec::new();
-        let mut large = Vec::new();
-        for i in 1..size {
-            let dst = (rank + i) % size;
-            match sends[dst].bytes() {
-                0 => {}
-                b if b <= threshold => small.push(dst),
-                _ => large.push(dst),
-            }
-        }
         // Post a receive for every peer that actually sends to us, small
         // expected first (mirroring the sender-side prioritization), before
         // any packing starts.
-        let mut sources: Vec<usize> = (0..size)
-            .filter(|&src| src != rank && recvs[src].bytes() > 0)
-            .collect();
-        sources.sort_by_key(|&src| {
-            let b = recvs[src].bytes();
-            (
-                if b <= threshold { 0 } else { 1 },
-                (src + size - rank) % size,
-            )
-        });
+        let sources = &plan.sources;
         let mut recv_reqs = Vec::with_capacity(sources.len());
-        for &src in &sources {
+        for &src in sources {
             recv_reqs.push(self.irecv(Some(src), coll_tag(CollOp::Alltoallw, 0)));
         }
 
@@ -282,8 +499,8 @@ impl Comm<'_> {
         // with cheap messages are never stuck behind expensive
         // preprocessing, and each message's wire time overlaps the packing
         // of the next.
-        let mut send_reqs = Vec::with_capacity(small.len() + large.len());
-        for (round, &dst) in small.iter().chain(large.iter()).enumerate() {
+        let mut send_reqs = Vec::with_capacity(plan.send_order.len());
+        for (round, &dst) in plan.send_order.iter().enumerate() {
             self.rank_mut()
                 .trace_round("alltoallw/binned", round as u32);
             self.rank_mut()

@@ -16,7 +16,7 @@ pub mod neighbor;
 pub mod scan;
 
 pub use allgatherv::AllgathervAlgorithm;
-pub use alltoallw::{AlltoallwSchedule, WPeer};
+pub use alltoallw::{AlltoallwPlan, AlltoallwSchedule, WPeer};
 pub use neighbor::NeighborExchange;
 
 use ncd_simnet::Tag;

@@ -15,6 +15,7 @@
 //! * direct (writev-style) segments → `CostKind::Pack` per-segment only —
 //!   no copy, the bytes go straight from user memory to the wire.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use ncd_datatype::{BlockMode, Datatype, LastBlock, OpCounts, Unpacker};
@@ -484,6 +485,55 @@ pub fn f64s_to_bytes(data: &[f64]) -> Vec<u8> {
     out
 }
 
+/// View f64s as their little-endian bytes. Borrows the storage in place
+/// on little-endian targets; big-endian targets get a converted copy.
+pub fn f64s_as_bytes(data: &[f64]) -> Cow<'_, [u8]> {
+    #[cfg(target_endian = "little")]
+    {
+        // SAFETY: the pointer and length cover exactly `data`'s storage,
+        // which stays borrowed for the returned lifetime. `f64` has no
+        // padding and `u8` has alignment 1 and no invalid values, and on
+        // a little-endian target the in-memory bytes are the
+        // little-endian encoding `f64s_to_bytes` would produce.
+        Cow::Borrowed(unsafe {
+            std::slice::from_raw_parts(data.as_ptr().cast::<u8>(), std::mem::size_of_val(data))
+        })
+    }
+    #[cfg(not(target_endian = "little"))]
+    {
+        Cow::Owned(f64s_to_bytes(data))
+    }
+}
+
+/// Run `f` over the little-endian bytes of `data`; what `f` writes lands
+/// in `data`. Borrows the storage in place on little-endian targets;
+/// big-endian targets convert to bytes and back.
+pub fn f64s_as_bytes_mut<R>(data: &mut [f64], f: impl FnOnce(&mut [u8]) -> R) -> R {
+    #[cfg(target_endian = "little")]
+    {
+        // SAFETY: the pointer and length cover exactly `data`'s storage,
+        // exclusively borrowed for the duration of `f`. Every bit pattern
+        // is a valid `f64` and a valid `u8`, so byte writes cannot create
+        // an invalid value, and `u8` has alignment 1.
+        let bytes = unsafe {
+            std::slice::from_raw_parts_mut(
+                data.as_mut_ptr().cast::<u8>(),
+                std::mem::size_of_val(data),
+            )
+        };
+        f(bytes)
+    }
+    #[cfg(not(target_endian = "little"))]
+    {
+        let mut bytes = f64s_to_bytes(data);
+        let out = f(&mut bytes);
+        for (v, c) in data.iter_mut().zip(bytes.chunks_exact(8)) {
+            *v = f64::from_le_bytes(c.try_into().expect("chunk of 8"));
+        }
+        out
+    }
+}
+
 /// Reinterpret little-endian bytes as f64s. Panics on ragged lengths.
 pub fn bytes_to_f64s(bytes: &[u8]) -> Vec<f64> {
     assert_eq!(
@@ -514,6 +564,20 @@ mod tests {
     fn f64_byte_round_trip() {
         let v = vec![1.5, -2.25, 0.0, f64::MAX];
         assert_eq!(bytes_to_f64s(&f64s_to_bytes(&v)), v);
+    }
+
+    #[test]
+    fn f64_byte_views_match_the_copies() {
+        let mut v = vec![1.5, -2.25, 0.0, f64::MAX, f64::NAN];
+        assert_eq!(&*f64s_as_bytes(&v), f64s_to_bytes(&v).as_slice());
+        let src = f64s_to_bytes(&[7.0, -0.5]);
+        let n = f64s_as_bytes_mut(&mut v, |b| {
+            b[8..24].copy_from_slice(&src);
+            b.len()
+        });
+        assert_eq!(n, 40);
+        assert_eq!(&v[..4], &[1.5, 7.0, -0.5, f64::MAX]);
+        assert!(v[4].is_nan());
     }
 
     #[test]

@@ -28,6 +28,8 @@
 //! assert!(sums.iter().all(|&s| s == 6.0));
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod coll;
 pub mod comm;
 pub mod commstats;
@@ -39,8 +41,8 @@ pub mod request;
 pub mod select;
 pub mod whatif;
 
-pub use coll::{AllgathervAlgorithm, AlltoallwSchedule, NeighborExchange, WPeer};
-pub use comm::{bytes_to_f64s, f64s_to_bytes, Comm, CommGroup};
+pub use coll::{AllgathervAlgorithm, AlltoallwPlan, AlltoallwSchedule, NeighborExchange, WPeer};
+pub use comm::{bytes_to_f64s, f64s_as_bytes, f64s_as_bytes_mut, f64s_to_bytes, Comm, CommGroup};
 pub use commstats::{
     analyze_comm_map, analyze_matrix, decisions_from_trace, decisions_from_traces,
     detect_misselections, gini, render_decision_log, AlgorithmDecision, CommAnalysis,

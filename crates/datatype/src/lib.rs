@@ -33,6 +33,8 @@
 //! unpack_all(&col, 1, &mut out, &packed).unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cursor;
 pub mod desc;
 pub mod engine;

@@ -30,6 +30,8 @@
 //! });
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod da;
 pub mod gmres;
 pub mod is;

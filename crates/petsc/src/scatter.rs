@@ -21,7 +21,10 @@
 
 use std::sync::Arc;
 
-use ncd_core::{bytes_to_f64s, f64s_to_bytes, Comm, Request, WPeer};
+use ncd_core::{
+    bytes_to_f64s, f64s_as_bytes, f64s_as_bytes_mut, f64s_to_bytes, AlltoallwPlan, Comm, MpiConfig,
+    Request, WPeer,
+};
 use ncd_datatype::{hindexed_from_f64_indices, Datatype};
 use ncd_simnet::{CostKind, Tag};
 
@@ -118,10 +121,10 @@ pub struct VecScatter {
     local_runs: u64,
     sends: Vec<SendSpec>,
     recvs: Vec<RecvSpec>,
-    /// Prebuilt per-rank alltoallw slots (offset 0 into the local array's
-    /// byte image; the self slot carries the local pairs).
-    send_types: Vec<WPeer>,
-    recv_types: Vec<WPeer>,
+    /// The Datatype backend's persistent alltoallw: per-rank slots
+    /// (offset 0 into the local array's bytes; the self slot carries the
+    /// local pairs) and the schedule compiled from them.
+    plan: AlltoallwPlan,
 }
 
 impl VecScatter {
@@ -137,8 +140,12 @@ impl VecScatter {
             local_runs: 0,
             sends: Vec::new(),
             recvs: Vec::new(),
-            send_types: vec![WPeer::new(0, 0, empty.clone())],
-            recv_types: vec![WPeer::new(0, 0, empty)],
+            plan: AlltoallwPlan::new(
+                &MpiConfig::baseline(),
+                0,
+                vec![WPeer::new(0, 0, empty.clone())],
+                vec![WPeer::new(0, 0, empty)],
+            ),
         }
     }
 
@@ -271,8 +278,9 @@ impl VecScatter {
             }
         }
 
-        // Phase 4: prebuild the alltoallw slots (the Datatype backend's
-        // plan). The self slot carries the purely local pairs.
+        // Phase 4: build the alltoallw slots and compile them into the
+        // Datatype backend's persistent plan. The self slot carries the
+        // purely local pairs.
         let empty = Datatype::contiguous(0, &Datatype::double()).expect("empty type");
         let mut send_types: Vec<WPeer> =
             (0..size).map(|_| WPeer::new(0, 0, empty.clone())).collect();
@@ -300,6 +308,7 @@ impl VecScatter {
             );
         }
         let local_runs = count_runs(&local_pairs.iter().map(|&(s, _)| s).collect::<Vec<_>>());
+        let plan = AlltoallwPlan::new(comm.config(), rank, send_types, recv_types);
 
         VecScatter {
             src_layout,
@@ -308,8 +317,7 @@ impl VecScatter {
             local_runs,
             sends,
             recvs,
-            send_types,
-            recv_types,
+            plan,
         }
     }
 
@@ -326,6 +334,11 @@ impl VecScatter {
     /// Elements handled by pure local copy.
     pub fn local_elems(&self) -> usize {
         self.local_pairs.len()
+    }
+
+    /// The Datatype backend's compiled alltoallw.
+    pub fn alltoallw_plan(&self) -> &AlltoallwPlan {
+        &self.plan
     }
 
     /// Number of remote peers this rank communicates with.
@@ -484,14 +497,12 @@ impl VecScatter {
     }
 
     fn apply_datatype(&self, comm: &mut Comm, x: &PVec, y: &mut PVec) {
-        // Byte images of the local arrays (representation shims for the
-        // byte-oriented MPI layer; not charged — real MPI reads user memory
-        // in place).
-        let sendbuf = f64s_to_bytes(x.local());
-        let mut recvbuf = f64s_to_bytes(y.local());
-        comm.alltoallw(&sendbuf, &self.send_types, &mut recvbuf, &self.recv_types);
-        let vals = bytes_to_f64s(&recvbuf);
-        y.local_mut().copy_from_slice(&vals);
+        // The byte-oriented MPI layer reads and writes the local arrays in
+        // place, as real MPI reads user memory.
+        let sendbuf = f64s_as_bytes(x.local());
+        f64s_as_bytes_mut(y.local_mut(), |recvbuf| {
+            comm.alltoallw_start(&self.plan, &sendbuf, recvbuf)
+        });
     }
 
     /// Execute the scatter **in reverse**: `x[src[k]] op= y[dst[k]]` — the

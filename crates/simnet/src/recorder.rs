@@ -19,6 +19,7 @@
 //! in a process global so out-of-runtime code (the bench baseline gate) can
 //! grab evidence after the fact via [`last_run_dump`].
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -113,25 +114,33 @@ pub fn fnv1a(s: &str) -> u64 {
     h
 }
 
-/// How many [`RecCode::AlgoDecision`] records each rank keeps in the
-/// dedicated decision ring. The main ring can evict a decision under
-/// heavy traffic long before an anomaly fires; the decision ring cannot,
-/// so a baseline-gate dump always shows which algorithms were active.
-pub const DECISION_SLOTS: usize = 8;
+/// How many records of each pinned code ([`PINNED`]) a rank keeps in
+/// that code's side ring.
+pub const PINNED_SLOTS: usize = 8;
 
-/// How many [`RecCode::Drift`] records each rank keeps in the dedicated
-/// drift ring. Changepoints are rarer than decisions but just as easily
-/// evicted from the main ring by the traffic that caused them; the
-/// dedicated ring guarantees an anomaly dump shows the recent regime
-/// shifts.
-pub const DRIFT_SLOTS: usize = 8;
+/// The codes whose records are also kept in a side ring of their own,
+/// immune to main-ring eviction, with the heading an anomaly dump shows
+/// them under (in this order):
+///
+/// * algorithm decisions — the main ring can evict a decision under heavy
+///   traffic long before an anomaly fires, so a baseline-gate dump would
+///   not show which algorithms were active;
+/// * drift events — changepoints are evicted just as easily by the
+///   traffic that caused them;
+/// * diagnosis findings — mirrored in post-mortem by
+///   `crate::diagnosis::mirror_to_flight_recorder`, so a dump fired later
+///   (e.g. by the bench baseline gate) carries the diagnosis alongside
+///   the raw event window.
+pub const PINNED: [(RecCode, &str); 3] = [
+    (RecCode::AlgoDecision, "algorithm decisions"),
+    (RecCode::Drift, "drift events"),
+    (RecCode::Diagnosis, "diagnosis findings"),
+];
 
-/// How many [`RecCode::Diagnosis`] records each rank keeps in the
-/// dedicated diagnosis ring. Top findings are mirrored in post-mortem by
-/// `crate::diagnosis::mirror_to_flight_recorder`, so an anomaly dump
-/// fired later (e.g. by the bench baseline gate) carries the diagnosis
-/// alongside the raw event window.
-pub const DIAGNOSIS_SLOTS: usize = 8;
+/// Index of `code`'s side ring in [`PINNED`], if it has one.
+fn pinned_index(code: RecCode) -> Option<usize> {
+    PINNED.iter().position(|&(c, _)| c == code)
+}
 
 /// A per-rank flight recorder: fixed capacity, overwrites oldest.
 pub struct RankRecorder {
@@ -142,16 +151,10 @@ pub struct RankRecorder {
     /// Touched only on label-carrying records and renders, never on the
     /// hot send/recv path.
     labels: Mutex<Vec<(u64, String)>>,
-    /// Last [`DECISION_SLOTS`] algorithm decisions, immune to main-ring
-    /// eviction. Decisions are rare (one per adaptive collective call),
-    /// so a mutex off the hot path is fine.
-    decisions: Mutex<Vec<Recorded>>,
-    /// Last [`DRIFT_SLOTS`] drift events, immune to main-ring eviction
-    /// for the same reason.
-    drifts: Mutex<Vec<Recorded>>,
-    /// Last [`DIAGNOSIS_SLOTS`] mirrored diagnosis findings, immune to
-    /// main-ring eviction for the same reason.
-    diagnoses: Mutex<Vec<Recorded>>,
+    /// The last [`PINNED_SLOTS`] records of each [`PINNED`] code. They
+    /// are rare next to sends and receives (a decision is one per
+    /// collective call), so a mutex off the hot path is fine.
+    pinned: [Mutex<VecDeque<Recorded>>; PINNED.len()],
 }
 
 impl RankRecorder {
@@ -163,9 +166,7 @@ impl RankRecorder {
             head: AtomicU64::new(0),
             slots: (0..cap).map(|_| Slot::default()).collect(),
             labels: Mutex::new(Vec::new()),
-            decisions: Mutex::new(Vec::new()),
-            drifts: Mutex::new(Vec::new()),
-            diagnoses: Mutex::new(Vec::new()),
+            pinned: Default::default(),
         }
     }
 
@@ -196,18 +197,12 @@ impl RankRecorder {
         slot.d.store(d, Ordering::Relaxed);
         slot.e.store(e, Ordering::Relaxed);
         slot.seq.store(seq, Ordering::Release);
-        let side_ring = match code {
-            RecCode::AlgoDecision => Some((&self.decisions, DECISION_SLOTS)),
-            RecCode::Drift => Some((&self.drifts, DRIFT_SLOTS)),
-            RecCode::Diagnosis => Some((&self.diagnoses, DIAGNOSIS_SLOTS)),
-            _ => None,
-        };
-        if let Some((ring, slots)) = side_ring {
-            let mut ring = ring.lock().expect("side ring poisoned");
-            if ring.len() == slots {
-                ring.remove(0);
+        if let Some(i) = pinned_index(code) {
+            let mut ring = self.pinned[i].lock().expect("side ring poisoned");
+            if ring.len() == PINNED_SLOTS {
+                ring.pop_front();
             }
-            ring.push(Recorded {
+            ring.push_back(Recorded {
                 seq,
                 time,
                 code,
@@ -220,26 +215,13 @@ impl RankRecorder {
         }
     }
 
-    /// The last [`DECISION_SLOTS`] algorithm decisions, oldest → newest.
-    pub fn recent_decisions(&self) -> Vec<Recorded> {
-        self.decisions
-            .lock()
-            .expect("decision ring poisoned")
-            .clone()
-    }
-
-    /// The last [`DRIFT_SLOTS`] drift events, oldest → newest.
-    pub fn recent_drifts(&self) -> Vec<Recorded> {
-        self.drifts.lock().expect("drift ring poisoned").clone()
-    }
-
-    /// The last [`DIAGNOSIS_SLOTS`] mirrored diagnosis findings, oldest →
-    /// newest.
-    pub fn recent_diagnoses(&self) -> Vec<Recorded> {
-        self.diagnoses
-            .lock()
-            .expect("diagnosis ring poisoned")
-            .clone()
+    /// The last [`PINNED_SLOTS`] records of a [`PINNED`] code, oldest →
+    /// newest (empty for codes without a side ring).
+    pub fn recent(&self, code: RecCode) -> Vec<Recorded> {
+        pinned_index(code).map_or_else(Vec::new, |i| {
+            let ring = self.pinned[i].lock().expect("side ring poisoned");
+            ring.iter().copied().collect()
+        })
     }
 
     /// Record a label-carrying event, interning the label so dumps can
@@ -392,38 +374,17 @@ pub fn render_dump(recorders: &[Arc<RankRecorder>]) -> String {
             out.push_str(&rec.render_record(r));
             out.push('\n');
         }
-        let decisions = rec.recent_decisions();
-        if !decisions.is_empty() {
-            out.push_str(&format!(
-                "rank {:>3}: last {} algorithm decisions\n",
-                rec.rank(),
-                decisions.len()
-            ));
-            for r in &decisions {
-                out.push_str(&rec.render_record(r));
-                out.push('\n');
+        for (code, heading) in PINNED {
+            let recent = rec.recent(code);
+            if recent.is_empty() {
+                continue;
             }
-        }
-        let drifts = rec.recent_drifts();
-        if !drifts.is_empty() {
             out.push_str(&format!(
-                "rank {:>3}: last {} drift events\n",
+                "rank {:>3}: last {} {heading}\n",
                 rec.rank(),
-                drifts.len()
+                recent.len()
             ));
-            for r in &drifts {
-                out.push_str(&rec.render_record(r));
-                out.push('\n');
-            }
-        }
-        let diagnoses = rec.recent_diagnoses();
-        if !diagnoses.is_empty() {
-            out.push_str(&format!(
-                "rank {:>3}: last {} diagnosis findings\n",
-                rec.rank(),
-                diagnoses.len()
-            ));
-            for r in &diagnoses {
+            for r in &recent {
                 out.push_str(&rec.render_record(r));
                 out.push('\n');
             }
@@ -623,7 +584,7 @@ mod tests {
         let rec = RankRecorder::new(0, 256);
         let coll = rec.intern("alltoallw");
         let chosen = rec.intern("binned");
-        for i in 0..(DECISION_SLOTS as u64 + 3) {
+        for i in 0..(PINNED_SLOTS as u64 + 3) {
             rec.record(
                 RecCode::AlgoDecision,
                 SimTime(i),
@@ -634,10 +595,10 @@ mod tests {
                 0,
             );
         }
-        let decisions = rec.recent_decisions();
-        assert_eq!(decisions.len(), DECISION_SLOTS);
+        let decisions = rec.recent(RecCode::AlgoDecision);
+        assert_eq!(decisions.len(), PINNED_SLOTS);
         assert_eq!(decisions[0].d, 3, "oldest surviving decision");
-        assert_eq!(decisions.last().unwrap().d, DECISION_SLOTS as u64 + 2);
+        assert_eq!(decisions.last().unwrap().d, PINNED_SLOTS as u64 + 2);
     }
 
     #[test]
@@ -672,13 +633,73 @@ mod tests {
         let rec = RankRecorder::new(0, 256);
         let label = rec.intern("alltoallw/binned");
         let metric = rec.intern("skew");
-        for i in 0..(DRIFT_SLOTS as u64 + 2) {
+        for i in 0..(PINNED_SLOTS as u64 + 2) {
             rec.record(RecCode::Drift, SimTime(i), label, metric, i << 1, i, 0);
         }
-        let drifts = rec.recent_drifts();
-        assert_eq!(drifts.len(), DRIFT_SLOTS);
+        let drifts = rec.recent(RecCode::Drift);
+        assert_eq!(drifts.len(), PINNED_SLOTS);
         assert_eq!(drifts[0].d, 2, "oldest surviving drift event");
-        assert_eq!(drifts.last().unwrap().d, DRIFT_SLOTS as u64 + 1);
+        assert_eq!(drifts.last().unwrap().d, PINNED_SLOTS as u64 + 1);
+    }
+
+    #[test]
+    fn pinned_rings_render_in_a_fixed_layout() {
+        // The main ring has evicted the oldest decisions; each side ring
+        // keeps its own window and renders after it, in `PINNED` order.
+        let rec = RankRecorder::new(3, 8);
+        let coll = rec.intern("alltoallw");
+        let chosen = rec.intern("binned");
+        let label = rec.intern("alltoallw/binned");
+        let metric = rec.intern("skew");
+        let pattern = rec.intern("late-sender");
+        for i in 0..10u64 {
+            rec.record(
+                RecCode::AlgoDecision,
+                SimTime(i),
+                coll,
+                chosen,
+                8 << 1,
+                i,
+                1_500,
+            );
+        }
+        rec.record(
+            RecCode::Drift,
+            SimTime(20),
+            label,
+            metric,
+            (2 << 1) | 1,
+            1_000,
+            2_500,
+        );
+        rec.record(RecCode::Diagnosis, SimTime(30), pattern, coll, 5, 2, 7_000);
+        rec.record(RecCode::Send, SimTime(40), 1, 64, 9, 0, 0);
+        let expected = concat!(
+            "=== flight recorder: last events per rank ===\n",
+            "rank   3: 13 recorded, showing last 8\n",
+            "[rank   3] #6      t=5            algo       alltoallw -> binned n=8 pow2=false bytes=5 ratio=1.500\n",
+            "[rank   3] #7      t=6            algo       alltoallw -> binned n=8 pow2=false bytes=6 ratio=1.500\n",
+            "[rank   3] #8      t=7            algo       alltoallw -> binned n=8 pow2=false bytes=7 ratio=1.500\n",
+            "[rank   3] #9      t=8            algo       alltoallw -> binned n=8 pow2=false bytes=8 ratio=1.500\n",
+            "[rank   3] #10     t=9            algo       alltoallw -> binned n=8 pow2=false bytes=9 ratio=1.500\n",
+            "[rank   3] #11     t=20           drift      alltoallw/binned skew occ=2 up baseline=1.000 observed=2.500\n",
+            "[rank   3] #12     t=30           diag       late-sender op=alltoallw blamed=5 instances=2 severity_ns=7000\n",
+            "[rank   3] #13     t=40           send       dst=1 bytes=64 seq=9\n",
+            "rank   3: last 8 algorithm decisions\n",
+            "[rank   3] #3      t=2            algo       alltoallw -> binned n=8 pow2=false bytes=2 ratio=1.500\n",
+            "[rank   3] #4      t=3            algo       alltoallw -> binned n=8 pow2=false bytes=3 ratio=1.500\n",
+            "[rank   3] #5      t=4            algo       alltoallw -> binned n=8 pow2=false bytes=4 ratio=1.500\n",
+            "[rank   3] #6      t=5            algo       alltoallw -> binned n=8 pow2=false bytes=5 ratio=1.500\n",
+            "[rank   3] #7      t=6            algo       alltoallw -> binned n=8 pow2=false bytes=6 ratio=1.500\n",
+            "[rank   3] #8      t=7            algo       alltoallw -> binned n=8 pow2=false bytes=7 ratio=1.500\n",
+            "[rank   3] #9      t=8            algo       alltoallw -> binned n=8 pow2=false bytes=8 ratio=1.500\n",
+            "[rank   3] #10     t=9            algo       alltoallw -> binned n=8 pow2=false bytes=9 ratio=1.500\n",
+            "rank   3: last 1 drift events\n",
+            "[rank   3] #11     t=20           drift      alltoallw/binned skew occ=2 up baseline=1.000 observed=2.500\n",
+            "rank   3: last 1 diagnosis findings\n",
+            "[rank   3] #12     t=30           diag       late-sender op=alltoallw blamed=5 instances=2 severity_ns=7000\n",
+        );
+        assert_eq!(render_dump(&[Arc::new(rec)]), expected);
     }
 
     #[test]
